@@ -40,7 +40,6 @@ VARIANTS = {
     "sampled_labels": {"label_mode": "sampled"},
     "naive_meeting": {"meeting": "naive"},
     "unidirectional": {"bidirectional": False},
-    "no_step_cache": {"step_cache": False},
 }
 
 

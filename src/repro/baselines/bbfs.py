@@ -27,7 +27,7 @@ from repro.core.engine import EngineBase
 from repro.core.meeting import MeetingIndex
 from repro.core.plan import Plan, PlanCache
 from repro.core.result import QueryResult
-from repro.errors import QueryError
+from repro.errors import QueryError, WitnessViolationError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.regex.matcher import (
     BackwardTracker,
@@ -249,9 +249,14 @@ class BBFSEngine(EngineBase):
                 timed_out=truncated,
                 expansions=expansions,
             )
-        assert check_path(
+        # an explicit check, which (unlike an assert) survives python -O
+        if check_path(
             compiled, self.graph, joined, self.elements
-        ) == COMPATIBLE, "internal error: BBFS join is not compatible"
+        ) != COMPATIBLE:
+            raise WitnessViolationError(
+                f"{self.name} joined a path the regex rejects: {joined}",
+                invariant="rejected",
+            )
         return QueryResult(
             reachable=True,
             path=joined,

@@ -1,6 +1,6 @@
 """The paper's primary contribution: the ARRIVAL query engine."""
 
-from repro.core.arrival import Arrival, ArrivalWavefront
+from repro.core.arrival import Arrival
 from repro.core.engine import (
     Engine,
     EngineBase,
@@ -48,7 +48,6 @@ from repro.core.stats import BatchStats, ExecStats
 
 __all__ = [
     "Arrival",
-    "ArrivalWavefront",
     "AutoEngine",
     "BatchExecutor",
     "BatchReport",

@@ -30,17 +30,16 @@ Typical use::
 from __future__ import annotations
 
 import time
-
-import numpy as np
+import weakref
 
 from typing import (
     Any,
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Tuple,
-    Union,
 )
 
 from repro import obs
@@ -54,62 +53,37 @@ from repro.core.parameters import (
 )
 from repro.core.result import QueryResult
 from repro.core.stats import ExecStats
-from repro.core.walks import SideRunner, interned_start_ids
-from repro.core.wavefront import (
-    WavefrontResult,
-    WavefrontSide,
-    run_wavefront,
-)
-from repro.errors import QueryError
+from repro.core.walks import SideRunner
+from repro.errors import QueryError, WitnessViolationError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.queries.query import RSPQuery
 from repro.regex.compiler import CompiledRegex, RegexLike
-from repro.regex.interner import EMPTY_STATE_ID, InternedStepTable
-from repro.regex.nfa import NFA
+from repro.regex.interner import InternedStepTable
 from repro.regex.matcher import (
     COMPATIBLE,
-    BackwardTracker,
     ForwardTracker,
     _StepCache,
     check_path,
     resolve_elements,
 )
-from repro.rng import RngLike, WavefrontSampler, ensure_rng
+from repro.rng import RngLike, ensure_rng
 
 
-#: the two transition-memo shapes the hot-path counters aggregate over
-_TransitionTable = Union[InternedStepTable, _StepCache]
+#: one compiled regex's interned step tables, forward then backward
+_StepTables = Tuple[InternedStepTable, InternedStepTable]
 
 
-def _table_totals(
-    tables: Iterable[Optional[_TransitionTable]],
-) -> Tuple[int, int]:
-    """Summed (hits, misses) over transition tables (None entries ok).
+def _table_totals(tables: Optional[_StepTables]) -> Tuple[int, int]:
+    """Summed (hits, misses) of a regex's step tables (zeros without).
 
-    Works for both :class:`~repro.regex.interner.InternedStepTable` and
-    :class:`~repro.regex.matcher._StepCache` — per-query deltas against
-    these totals feed the hot-path counters in ``QueryResult.info``.
+    Per-query deltas against these totals feed the hot-path counters
+    in ``QueryResult.stats``; the frozenset scan has no tables and
+    reports no transition counts.
     """
-    hits = 0
-    misses = 0
-    for table in tables:
-        if table is not None:
-            hits += table.hits
-            misses += table.misses
-    return hits, misses
-
-
-def _table_deltas(
-    before: Tuple[int, int],
-    tables: Iterable[Optional[_TransitionTable]],
-) -> Tuple[int, int]:
-    """(hits, misses) accrued since ``before = _table_totals(...)``.
-
-    Tables created after the snapshot start at zero, so a plain
-    subtraction stays correct even when the query allocated new caches.
-    """
-    hits, misses = _table_totals(tables)
-    return hits - before[0], misses - before[1]
+    if tables is None:
+        return 0, 0
+    forward, backward = tables
+    return forward.hits + backward.hits, forward.misses + backward.misses
 
 
 class Arrival(EngineBase):
@@ -135,30 +109,6 @@ class Arrival(EngineBase):
         statistics (the Sec. 4.3 amortised α estimate).
     negation_mode:
         "paper" (Appendix A restriction) or "dfa" (extended negation).
-    fast_path:
-        Use the interned walk engine (frozen CSR graph view + small-int
-        automaton transitions) where sound — exact mode, no query-time
-        predicates; other queries silently take the frozenset path.
-        False forces the baseline path everywhere (ablations,
-        ``benchmarks/bench_hotpath.py``).
-    rng_batch:
-        Pre-draw jump randomness in 1024-uniform blocks (fast-path
-        only).  False keeps the historical one-``integers``-call-per-
-        jump draw order, so a pinned seed makes fast and baseline paths
-        choose identical jumps.
-    walk_mode:
-        "scalar" (per-walk inner loop, default) or "wavefront" (the
-        vectorized SoA kernel of :mod:`repro.core.wavefront`, which
-        advances every walk of a side per superstep).  The wavefront
-        engages only where it is sound and expressible — the fast-path
-        gate plus hashmap meeting, bidirectional sampling and no trace
-        sink; everything else silently takes the scalar path.  Its RNG
-        stream is its own (deterministic per seed and width, not
-        jump-identical to scalar runs).
-    wavefront_width:
-        Walk slots per side held in flight by the wavefront kernel
-        (clamped to the side's walk budget).  Part of the determinism
-        key: same seed + same width = same answers.
     seed:
         Seed / generator for all randomness.
     """
@@ -183,11 +133,6 @@ class Arrival(EngineBase):
         meeting: str = "hashmap",
         adaptive: bool = False,
         bidirectional: bool = True,
-        step_cache: bool = True,
-        fast_path: bool = True,
-        rng_batch: bool = True,
-        walk_mode: str = "scalar",
-        wavefront_width: int = 256,
         negation_mode: str = "paper",
         walk_length_multiplier: float = 2.0,
         diameter_sample_size: int = 32,
@@ -197,12 +142,6 @@ class Arrival(EngineBase):
     ) -> None:
         if meeting not in ("hashmap", "naive"):
             raise ValueError(f"meeting must be 'hashmap' or 'naive', got {meeting!r}")
-        if walk_mode not in ("scalar", "wavefront"):
-            raise ValueError(
-                f"walk_mode must be 'scalar' or 'wavefront', got {walk_mode!r}"
-            )
-        if wavefront_width < 1:
-            raise ValueError("wavefront_width must be positive")
         self.graph = graph
         self.elements = resolve_elements(graph, elements)
         self.label_mode = label_mode
@@ -212,16 +151,6 @@ class Arrival(EngineBase):
         #: the backward side only registers the target's trivial meeting
         #: key, so forward walks must reach the target on their own
         self.bidirectional = bidirectional
-        #: transition memoisation (sound only without predicates /
-        #: sampling; auto-disabled there); off for the ablation
-        self.step_cache = step_cache
-        #: interned walk engine (gated per query on the same soundness
-        #: condition as the step cache; also off when step_cache is off,
-        #: since the fast path *is* transition memoisation)
-        self.fast_path = fast_path
-        self.rng_batch = rng_batch
-        self.walk_mode = walk_mode
-        self.wavefront_width = wavefront_width
         self.negation_mode = negation_mode
         self.rng = ensure_rng(seed)
         self.estimator = StationaryOverlapEstimator()
@@ -249,41 +178,26 @@ class Arrival(EngineBase):
             meeting,
             adaptive,
             bidirectional,
-            step_cache,
-            fast_path,
-            rng_batch,
-            walk_mode,
-            wavefront_width,
             negation_mode,
             walk_length_multiplier,
             diameter_sample_size,
             bool(calibration_regexes),
         )
-        # transition memoisation, shared across queries per compiled
-        # regex and direction (see repro.regex.matcher._StepCache)
-        self._step_caches: Dict[Tuple[int, bool], _StepCache] = {}
-        # fast-path state: one label-set interner for the engine's
+        # interned-scan state: one label-set interner for the engine's
         # lifetime (ids stay stable across graph-view rebuilds, keeping
         # the interned transition tables valid), a version-stamped graph
-        # view, and per-(regex, direction) interned step tables
+        # view, and the (forward, backward) step tables of each compiled
+        # regex.  The tables are keyed weakly on the regex object itself:
+        # they die with it (the plan cache's bound is their bound) and
+        # are only ever used with the automata they were built from.
         self._label_interner = LabelSetInterner()
         self._graph_view: Optional[GraphView] = None
-        self._fast_tables: Dict[Tuple[int, bool], InternedStepTable] = {}
-        # the regex behind each fast-table key (the key uses id(); the
-        # strong reference both prevents id reuse and lets the shm
-        # export recover a fingerprint per table)
-        self._fast_compiled: Dict[int, CompiledRegex] = {}
+        self._fast_tables: weakref.WeakKeyDictionary[
+            CompiledRegex, _StepTables
+        ] = weakref.WeakKeyDictionary()
         # (fingerprint, forward) -> raw warm-table state adopted from a
-        # shared-memory plane; consumed lazily by _fast_table
+        # shared-memory plane; consumed lazily by _fast_tables_for
         self._warm_table_state: Dict[Tuple[str, bool], Dict[str, Any]] = {}
-        # wavefront samplers cached per (direction, slot count): the
-        # per-slot child-stream spawn is measurable per-query work.  The
-        # generator that spawned each sampler is remembered so reseed()
-        # (which replaces self.rng) invalidates the cache.
-        self._wave_samplers: Dict[
-            Tuple[bool, int],
-            Tuple[np.random.Generator, WavefrontSampler],
-        ] = {}
         #: graph-view (re)builds performed by this engine — incremented
         #: on first use and after every graph mutation
         self.view_rebuilds = 0
@@ -432,76 +346,28 @@ class Arrival(EngineBase):
                 )
             return self._trivial_result(source, compiled, stats)
 
-        # fast path is sound exactly where the step cache is (exact
-        # mode, no predicates); it also respects the step_cache ablation
-        # switch because it *is* transition memoisation
-        use_fast = (
-            self.fast_path
-            and self.step_cache
-            and _StepCache.usable_for(compiled, self.label_mode)
-        )
+        use_fast = self._interned_scan_sound(compiled)
         rebuilds_before = self.view_rebuilds
         stage_start = time.perf_counter()
         view = self._current_view() if use_fast else None
-        forward_tables = (
-            self._fast_table(compiled, forward=True) if use_fast else None
-        )
-        backward_tables = (
-            self._fast_table(compiled, forward=False) if use_fast else None
-        )
-        transitions_before = _table_totals(
-            (forward_tables, backward_tables)
-            if use_fast
-            else tuple(self._step_caches.values())
-        )
-
-        # the wavefront kernel engages only where the fast path is
-        # sound *and* the walk loop has nothing the SoA layout cannot
-        # express: hashmap meeting, bidirectional sampling, no trace
-        if (
-            self.walk_mode == "wavefront"
-            and use_fast
-            and view is not None
-            and forward_tables is not None
-            and backward_tables is not None
-            and self.meeting == "hashmap"
-            and self.bidirectional
-            and trace is None
-        ):
-            return self._run_wavefront(
-                compiled,
-                stats,
-                source=source,
-                target=target,
-                walk_length=walk_length,
-                num_walks=num_walks,
-                distance_bound=distance_bound,
-                min_distance=min_distance,
-                view=view,
-                forward_tables=forward_tables,
-                backward_tables=backward_tables,
-                transitions_before=transitions_before,
-                rebuilds_before=rebuilds_before,
-                stage_start=stage_start,
-            )
+        tables = self._fast_tables_for(compiled) if use_fast else None
+        transitions_before = _table_totals(tables)
 
         forward = SideRunner(
             self.graph, compiled, self.elements, source,
             forward=True, walk_length=walk_length, rng=self.rng,
             mode=self.label_mode, meeting=self.meeting,
             max_edges=distance_bound, min_edges=min_distance,
-            cache=self._step_cache(compiled, forward=True),
             trace=trace,
-            view=view, tables=forward_tables, rng_batch=self.rng_batch,
+            view=view, tables=tables[0] if tables else None,
         )
         backward = SideRunner(
             self.graph, compiled, self.elements, target,
             forward=False, walk_length=walk_length, rng=self.rng,
             mode=self.label_mode, meeting=self.meeting,
             max_edges=distance_bound, min_edges=min_distance,
-            cache=self._step_cache(compiled, forward=False),
             trace=trace,
-            view=view, tables=backward_tables, rng_batch=self.rng_batch,
+            view=view, tables=tables[1] if tables else None,
         )
         forward.opposite = backward
         backward.opposite = forward
@@ -553,15 +419,10 @@ class Arrival(EngineBase):
             )
         self._record_endpoints(forward, backward)
 
-        transition_hits, transition_misses = _table_deltas(
-            transitions_before,
-            (forward_tables, backward_tables)
-            if use_fast
-            else tuple(self._step_caches.values()),
-        )
+        transition_hits, transition_misses = _table_totals(tables)
         stats.candidates_scanned = forward.scanned + backward.scanned
-        stats.transition_hits = transition_hits
-        stats.transition_misses = transition_misses
+        stats.transition_hits = transition_hits - transitions_before[0]
+        stats.transition_misses = transition_misses - transitions_before[1]
         stats.rng_refills = forward.rng_refills + backward.rng_refills
         stats.csr_rebuilds = self.view_rebuilds - rebuilds_before
         info: Dict[str, Any] = {
@@ -586,11 +447,16 @@ class Arrival(EngineBase):
                 info=info,
                 stats=stats,
             )
-        # the guarantee of no false positives: verify the witness
+        # the guarantee of no false positives: verify the witness with an
+        # explicit check, which (unlike an assert) survives ``python -O``
         stage_start = time.perf_counter()
-        assert check_path(
+        if check_path(
             compiled, self.graph, joined, self.elements
-        ) == COMPATIBLE, "internal error: joined path is not compatible"
+        ) != COMPATIBLE:
+            raise WitnessViolationError(
+                f"{self.name} joined a path the regex rejects: {joined}",
+                invariant="rejected",
+            )
         stats.verify_s = time.perf_counter() - stage_start
         return QueryResult(
             reachable=True,
@@ -599,188 +465,6 @@ class Arrival(EngineBase):
             exact=True,
             path_is_simple=True,
             expansions=forward.completed_walks + backward.completed_walks,
-            jumps=jumps,
-            info=info,
-            stats=stats,
-        )
-
-    def _wavefront_sampler(
-        self, forward: bool, n_slots: int
-    ) -> WavefrontSampler:
-        """A per-(direction, width) sampler, cached across queries.
-
-        Streams continue across queries (like the scalar path's draws
-        from ``self.rng``), so answers stay deterministic per engine
-        seed; replacing ``self.rng`` via :meth:`reseed` spawns fresh
-        samplers, so the batch executor's per-query reseeding yields
-        scheduling-independent streams.
-        """
-        key = (forward, n_slots)
-        cached = self._wave_samplers.get(key)
-        if cached is not None and cached[0] is self.rng:
-            return cached[1]
-        sampler = WavefrontSampler(self.rng, n_slots)
-        self._wave_samplers[key] = (self.rng, sampler)
-        return sampler
-
-    def _run_wavefront(
-        self,
-        compiled: CompiledRegex,
-        stats: ExecStats,
-        *,
-        source: int,
-        target: int,
-        walk_length: int,
-        num_walks: int,
-        distance_bound: Optional[int],
-        min_distance: Optional[int],
-        view: GraphView,
-        forward_tables: InternedStepTable,
-        backward_tables: InternedStepTable,
-        transitions_before: Tuple[int, int],
-        rebuilds_before: int,
-        stage_start: float,
-    ) -> QueryResult:
-        """The vectorized walk loop (:mod:`repro.core.wavefront`).
-
-        Pre-flight (compile, parameters, view/table wiring) and
-        post-flight (witness verification, stats, estimator feeding)
-        mirror the scalar path exactly; only the walk loop in between
-        is replaced by the SoA supersteps.
-        """
-        forward_tracker = ForwardTracker(compiled, self.graph, self.elements)
-        backward_tracker = BackwardTracker(
-            compiled, self.graph, self.elements
-        )
-        start_forward = interned_start_ids(
-            forward_tracker, forward_tables, source, forward=True
-        )
-        start_backward = interned_start_ids(
-            backward_tracker, backward_tables, target, forward=False
-        )
-        resolved = forward_tracker.elements
-        consume_nodes = resolved in ("nodes", "both")
-        consume_edges = resolved in ("edges", "both")
-        # a dead forward start is a certain negative, exactly as on the
-        # scalar path (the source's symbol cannot begin any accepted
-        # word)
-        source_alive = start_forward[0] != EMPTY_STATE_ID
-
-        outcome: Optional[WavefrontResult] = None
-        # None while observability is disabled: the kernel's superstep
-        # loop then carries no sampling branches at all
-        step_sampler = obs.superstep_sampler()
-        if source_alive:
-            forward_budget = (num_walks + 1) // 2
-            # the backward side keeps at least one walk even for
-            # num_walks == 1: its origin registration is what lets
-            # forward walks recognise an arrival at the target (Case 2)
-            backward_budget = max(1, num_walks // 2)
-            forward_width = max(
-                1, min(self.wavefront_width, forward_budget)
-            )
-            backward_width = max(
-                1, min(self.wavefront_width, backward_budget)
-            )
-            forward_side = WavefrontSide(
-                view.arrays(forward=True),
-                forward_tables,
-                source,
-                forward=True,
-                walk_length=walk_length,
-                budget=forward_budget,
-                width=forward_width,
-                rng=self.rng,
-                start_ids=start_forward,
-                consume_nodes=consume_nodes,
-                consume_edges=consume_edges,
-                max_edges=distance_bound,
-                min_edges=min_distance,
-                sampler=self._wavefront_sampler(True, forward_width),
-            )
-            backward_side = WavefrontSide(
-                view.arrays(forward=False),
-                backward_tables,
-                target,
-                forward=False,
-                walk_length=walk_length,
-                budget=backward_budget,
-                width=backward_width,
-                rng=self.rng,
-                start_ids=start_backward,
-                consume_nodes=consume_nodes,
-                consume_edges=consume_edges,
-                max_edges=distance_bound,
-                min_edges=min_distance,
-                sampler=self._wavefront_sampler(False, backward_width),
-            )
-            outcome = run_wavefront(
-                forward_side, backward_side, sampler=step_sampler
-            )
-        stats.walk_s = time.perf_counter() - stage_start
-        if step_sampler is not None and outcome is not None:
-            step_sampler.record_query(outcome.jumps, stats.walk_s)
-
-        joined: Optional[List[int]] = None
-        completed = 0
-        jumps = 0
-        info: Dict[str, Any] = {
-            "walk_length": walk_length,
-            "num_walks": num_walks,
-            "forward_walks": 0,
-            "backward_walks": 0,
-            "stored_keys": 0,
-            "fast_path": True,
-            "walk_mode": "wavefront",
-            "supersteps": 0,
-        }
-        if outcome is not None:
-            joined = outcome.joined
-            completed = outcome.forward_walks + outcome.backward_walks
-            jumps = outcome.jumps
-            info["forward_walks"] = outcome.forward_walks
-            info["backward_walks"] = outcome.backward_walks
-            info["stored_keys"] = outcome.stored_keys
-            info["supersteps"] = outcome.supersteps
-            for endpoint in outcome.forward_endpoints:
-                self.estimator.record_forward(endpoint)
-            for endpoint in outcome.backward_endpoints:
-                self.estimator.record_backward(endpoint)
-            stats.candidates_scanned = outcome.scanned
-            stats.rng_refills = outcome.rng_refills
-        transition_hits, transition_misses = _table_deltas(
-            transitions_before, (forward_tables, backward_tables)
-        )
-        stats.transition_hits = transition_hits
-        stats.transition_misses = transition_misses
-        stats.csr_rebuilds = self.view_rebuilds - rebuilds_before
-
-        if joined is None:
-            miss_bound = self._miss_probability_bound(num_walks)
-            if miss_bound is not None:
-                info["miss_probability_bound"] = miss_bound
-            return QueryResult(
-                reachable=False,
-                method=self.name,
-                exact=not source_alive,
-                expansions=completed,
-                jumps=jumps,
-                info=info,
-                stats=stats,
-            )
-        # the guarantee of no false positives: verify the witness
-        stage_start = time.perf_counter()
-        assert check_path(
-            compiled, self.graph, joined, self.elements
-        ) == COMPATIBLE, "internal error: joined path is not compatible"
-        stats.verify_s = time.perf_counter() - stage_start
-        return QueryResult(
-            reachable=True,
-            path=joined,
-            method=self.name,
-            exact=True,
-            path_is_simple=True,
-            expansions=completed,
             jumps=jumps,
             info=info,
             stats=stats,
@@ -823,44 +507,51 @@ class Arrival(EngineBase):
             self.view_rebuilds += 1
         return view
 
-    def _fast_table(
-        self, compiled: CompiledRegex, forward: bool
-    ) -> InternedStepTable:
-        """Shared interned transition table for one (regex, direction).
+    def _interned_scan_sound(self, compiled: CompiledRegex) -> bool:
+        """The walk loop's one gate: the interned scan memoises
+        transitions by label set, which is sound in exact mode without
+        query-time predicates.  Every other query takes the frozenset
+        scan."""
+        return _StepCache.usable_for(compiled, self.label_mode)
+
+    def _fast_tables_for(self, compiled: CompiledRegex) -> _StepTables:
+        """The shared (forward, backward) step tables of one regex.
 
         Must be called after :meth:`_current_view` — projecting the
         symbol keys requires every label set of the current view to be
         interned already.
         """
-        key = (id(compiled), forward)
-        table = self._fast_tables.get(key)
-        if table is None:
-            nfa = compiled.nfa if forward else compiled.reversed_nfa
-            table = self._adopt_warm_table(compiled, forward, nfa)
-            if table is None:
-                table = InternedStepTable(nfa, self._label_interner.sets)
-            self._fast_tables[key] = table
-            self._fast_compiled[id(compiled)] = compiled
-        table.project()
-        return table
+        tables = self._fast_tables.get(compiled)
+        if tables is None:
+            tables = (
+                self._new_table(compiled, forward=True),
+                self._new_table(compiled, forward=False),
+            )
+            self._fast_tables[compiled] = tables
+        for table in tables:
+            table.project()
+        return tables
 
-    def _adopt_warm_table(
-        self, compiled: CompiledRegex, forward: bool, nfa: NFA
-    ) -> Optional[InternedStepTable]:
-        """A warm table shipped via shared memory, if one matches.
+    def _new_table(
+        self, compiled: CompiledRegex, forward: bool
+    ) -> InternedStepTable:
+        """A warm table shipped via shared memory if one matches, else
+        an empty one.
 
         Matching is by regex fingerprint (canonical source + negation
         mode), which also guarantees both sides compiled identical NFAs
         — the precondition of :meth:`InternedStepTable.adopt_state`.
         """
-        if not self._warm_table_state:
-            return None
-        fingerprint = fingerprint_regex(compiled)
-        if fingerprint is None:
-            return None
-        state = self._warm_table_state.pop((fingerprint, forward), None)
+        nfa = compiled.nfa if forward else compiled.reversed_nfa
+        state = None
+        if self._warm_table_state:
+            fingerprint = fingerprint_regex(compiled)
+            if fingerprint is not None:
+                state = self._warm_table_state.pop(
+                    (fingerprint, forward), None
+                )
         if state is None:
-            return None
+            return InternedStepTable(nfa, self._label_interner.sets)
         return InternedStepTable.adopt_state(
             nfa,
             self._label_interner.sets,
@@ -870,26 +561,10 @@ class Arrival(EngineBase):
             dense=state["dense"],
         )
 
-    def _step_cache(
-        self, compiled: CompiledRegex, forward: bool
-    ) -> Optional[_StepCache]:
-        """Shared transition cache for one (regex, direction), or None
-        when memoisation would be unsound for the current mode."""
-        if not self.step_cache:
-            return None
-        if not _StepCache.usable_for(compiled, self.label_mode):
-            return None
-        key = (id(compiled), forward)
-        cache = self._step_caches.get(key)
-        if cache is None:
-            cache = _StepCache()
-            self._step_caches[key] = cache
-        return cache
-
     def _prepare_engine(self) -> None:
         """Pay one-time setup now: walkLength / numWalks estimation (the
-        only randomness outside the walk loop) and, when the fast path
-        is on, the CSR graph-view build.
+        only randomness outside the walk loop) and the CSR graph-view
+        build.
 
         The batch executor calls this (via no-argument ``prepare()``)
         under a dedicated setup RNG stream so the estimates — and with
@@ -897,8 +572,7 @@ class Arrival(EngineBase):
         first on which worker."""
         _ = self.walk_length
         _ = self.num_walks
-        if self.fast_path:
-            self._current_view()
+        self._current_view()
 
     # ------------------------------------------------------------------
     # shared-memory plane (repro.core.shm)
@@ -907,7 +581,9 @@ class Arrival(EngineBase):
         self,
         view: Any,
         interner: Any,
-        warm_tables: Optional[Dict[Tuple[str, bool], Dict[str, Any]]] = None,
+        warm_tables: Optional[
+            Mapping[Tuple[str, bool], Dict[str, Any]]
+        ] = None,
     ) -> None:
         """Reuse an attached plane's view/interner/warm tables.
 
@@ -945,14 +621,12 @@ class Arrival(EngineBase):
         """
         view = self._current_view()
         tables: List[Tuple[str, bool, Dict[str, Any]]] = []
-        for (cid, forward), table in self._fast_tables.items():
-            compiled = self._fast_compiled.get(cid)
-            if compiled is None:
-                continue
+        for compiled, pair in list(self._fast_tables.items()):
             fingerprint = fingerprint_regex(compiled)
             if fingerprint is None:
                 continue
-            tables.append((fingerprint, forward, table.export_state()))
+            for forward, table in zip((True, False), pair):
+                tables.append((fingerprint, forward, table.export_state()))
         return view, self._label_interner, tables
 
     def query_many(self, queries: Iterable[RSPQuery]) -> List[QueryResult]:
@@ -989,34 +663,3 @@ class Arrival(EngineBase):
             self.estimator.record_forward(endpoint)
         for endpoint in backward.endpoints:
             self.estimator.record_backward(endpoint)
-
-
-class ArrivalWavefront(Arrival):
-    """ARRIVAL with the vectorized wavefront walk kernel as default.
-
-    Semantically the same engine as :class:`Arrival` — same parameters,
-    same one-sided error model, same gates — constructed with
-    ``walk_mode="wavefront"`` so eligible queries (exact mode, no
-    predicates, hashmap meeting, bidirectional) take the SoA superstep
-    loop of :mod:`repro.core.wavefront`; everything else silently falls
-    back to the scalar runner.  Registered separately (``arrival-wf``)
-    so the conformance suite, the batch executor sweeps and the
-    differential oracle exercise the wavefront mode as a first-class
-    engine.  Answers are deterministic per (seed, ``wavefront_width``)
-    but drawn from the wavefront's own RNG stream — reproducible, not
-    jump-identical to ``arrival``.
-    """
-
-    name = "ARRIVAL-WF"
-    approximate = True
-    supports_distance_bounds = True
-
-    def __init__(
-        self,
-        graph: LabeledGraph,
-        walk_length: Optional[int] = None,
-        num_walks: Optional[int] = None,
-        **kwargs: Any,
-    ) -> None:
-        kwargs.setdefault("walk_mode", "wavefront")
-        super().__init__(graph, walk_length, num_walks, **kwargs)

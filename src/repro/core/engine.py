@@ -539,7 +539,6 @@ class EngineBase:
 #: name -> (module, class, accepts a ``seed`` kwarg)
 _ENGINE_SPECS: Dict[str, Tuple[str, str, bool]] = {
     "arrival": ("repro.core.arrival", "Arrival", True),
-    "arrival-wf": ("repro.core.arrival", "ArrivalWavefront", True),
     "auto": ("repro.core.router", "AutoEngine", True),
     "bfs": ("repro.baselines.bfs", "BFSEngine", False),
     "bbfs": ("repro.baselines.bbfs", "BBFSEngine", False),

@@ -82,12 +82,12 @@ class LabelSetInterner:
 class SideArrays:
     """One walk direction of a :class:`GraphView` as numpy arrays.
 
-    The scalar inner loop wants plain lists (per-element numpy access
-    allocates a scalar object); the wavefront kernel wants the opposite
-    — whole-frontier fancy indexing over contiguous arrays.  A
-    ``SideArrays`` carries the same CSR rows and label-set ids as the
-    view's list fields, as ``int32`` arrays, frozen like everything
-    else here.
+    The walk inner loop wants plain lists (per-element numpy access
+    allocates a scalar object); the shared-memory plane
+    (:mod:`repro.core.shm`) wants contiguous buffers it can ship
+    zero-copy.  A ``SideArrays`` carries the same CSR rows and label-set
+    ids as the view's list fields, as ``int32`` arrays, frozen like
+    everything else here.
     """
 
     __slots__ = ("indptr", "indices", "edge_ls", "node_ls")
@@ -117,7 +117,7 @@ class GraphView:
     empty, so walks never reach them).
 
     :meth:`arrays` exposes the same data per direction as numpy arrays
-    for the wavefront kernel (:mod:`repro.core.wavefront`), converted
+    for the shared-memory plane (:mod:`repro.core.shm`), converted
     lazily once per view — i.e. once per graph version.
     """
 

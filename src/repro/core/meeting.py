@@ -108,36 +108,6 @@ class MeetingIndex:
         return sum(len(v) for v in self._entries.values())
 
 
-def try_join(
-    current_path: Sequence[int],
-    opposite_prefix: Sequence[int],
-    current_is_forward: bool,
-    max_edges: Optional[int] = None,
-    min_edges: Optional[int] = None,
-) -> Optional[List[int]]:
-    """Join one candidate pair of walk prefixes, or None.
-
-    The per-candidate core of :func:`hashmap_meet`, shared with the
-    vectorized wavefront kernel (whose batched key probe produces the
-    candidates): the caller guarantees compatibility by construction —
-    both prefixes share a ``(node, automatonState)`` key (Cor. 1) — so
-    only the simplicity check (inside
-    :func:`~repro.regex.matcher.join_paths`) and the optional length
-    range remain.
-    """
-    if current_is_forward:
-        joined = join_paths(current_path, opposite_prefix)
-    else:
-        joined = join_paths(opposite_prefix, current_path)
-    if joined is None:
-        return None
-    if max_edges is not None and len(joined) - 1 > max_edges:
-        return None
-    if min_edges is not None and len(joined) - 1 < min_edges:
-        return None
-    return joined
-
-
 def hashmap_meet(
     index: MeetingIndex,
     store: WalkStore,
@@ -151,19 +121,26 @@ def hashmap_meet(
     """Efficient Case-3 check: join the current walk against the opposite
     side's index; returns the first simple compatible joined path.
 
-    ``max_edges`` / ``min_edges`` enforce an optional length range on
-    the join (the Sec. 5.5.2 query class and its range extension).
+    Every candidate shares a ``(node, automatonState)`` key with the
+    current walk, which already proves compatibility (Cor. 1), so only
+    the simplicity check (inside :func:`~repro.regex.matcher.join_paths`)
+    and the optional length range remain.  ``max_edges`` / ``min_edges``
+    enforce that range on the join (the Sec. 5.5.2 query class and its
+    range extension).
     """
     for walk_id, position in index.lookup(node, states):
-        joined = try_join(
-            current_path,
-            store.prefix(walk_id, position),
-            current_is_forward,
-            max_edges=max_edges,
-            min_edges=min_edges,
-        )
-        if joined is not None:
-            return joined
+        opposite_prefix = store.prefix(walk_id, position)
+        if current_is_forward:
+            joined = join_paths(current_path, opposite_prefix)
+        else:
+            joined = join_paths(opposite_prefix, current_path)
+        if joined is None:
+            continue
+        if max_edges is not None and len(joined) - 1 > max_edges:
+            continue
+        if min_edges is not None and len(joined) - 1 < min_edges:
+            continue
+        return joined
     return None
 
 

@@ -29,18 +29,21 @@ The chosen engine is recorded in ``result.info["routed_to"]``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.baselines.bbfs import BBFSEngine
 from repro.baselines.landmark import LandmarkIndex
 from repro.core.arrival import Arrival
 from repro.core.engine import EngineBase, EngineCapabilities
+from repro.core.fastpath import GraphView, LabelSetInterner
 from repro.core.plan import (
     EngineCost,
+    GraphStamp,
     Plan,
     PlanCache,
     graph_profile,
+    graph_stamp,
     rank_routes,
 )
 from repro.core.result import QueryResult
@@ -85,11 +88,21 @@ class AutoEngine(EngineBase):
         self.arrival = Arrival(graph, seed=seed, **arrival_kwargs)
         self._landmark: Optional[LandmarkIndex] = None
         self._landmark_failed = False
+        #: the graph snapshot the landmark index (or its failed build)
+        #: belongs to; any other snapshot rebuilds it on demand
+        self._landmark_stamp: Optional[GraphStamp] = None
         self._bbfs: Optional[BBFSEngine] = None
         self._n_labels = len(graph.label_alphabet())
 
     # ------------------------------------------------------------------
     def _landmark_index(self) -> Optional[LandmarkIndex]:
+        stamp = graph_stamp(self.graph)
+        if stamp != self._landmark_stamp:
+            # the index answers from the snapshot it was built on, so a
+            # mutated graph needs a fresh one (built lazily below)
+            self._landmark = None
+            self._landmark_failed = False
+            self._landmark_stamp = stamp
         if self._landmark_failed:
             return None
         if self._landmark is None:
@@ -195,6 +208,28 @@ class AutoEngine(EngineBase):
         """Pay ARRIVAL's parameter estimation now (LI stays lazy: it is
         only built when a type-1 query actually routes there)."""
         self.arrival.prepare()
+
+    def adopt_shared_plane(
+        self,
+        view: Any,
+        interner: Any,
+        warm_tables: Optional[
+            Mapping[Tuple[str, bool], Dict[str, Any]]
+        ] = None,
+    ) -> None:
+        """Hand an attached shared-memory plane to the ARRIVAL route,
+        the only one that walks a graph view."""
+        self.arrival.adopt_shared_plane(view, interner, warm_tables)
+
+    def shared_plane_state(
+        self,
+    ) -> Tuple[
+        GraphView,
+        LabelSetInterner,
+        List[Tuple[str, bool, Dict[str, Any]]],
+    ]:
+        """The ARRIVAL route's exportable plane state (shm donor side)."""
+        return self.arrival.shared_plane_state()
 
 
 #: LI's capability sheet for the cost model, derived from the class

@@ -16,27 +16,29 @@ that consumes that symbol itself (see :mod:`repro.regex.matcher` for the
 key semantics); the walk then dies on the next step, which is the
 paper's Case 1.
 
-Two candidate scans implement the same semantics:
+One walk loop, two candidate scans with the same semantics:
 
-* the **baseline path** walks the graph's adjacency through the
-  frozenset trackers (:class:`~repro.regex.matcher.ForwardTracker` /
-  :class:`~repro.regex.matcher.BackwardTracker`) — always sound,
-  required for ``label_mode="sampled"`` and predicate queries;
-* the **fast path** (``view=``/``tables=`` wired by the engine) scans a
-  frozen :class:`~repro.core.fastpath.GraphView` and steps the automaton
-  through an :class:`~repro.regex.interner.InternedStepTable` — every
-  per-candidate operation is an int-keyed probe, and walk starts are
-  memoised per runner (walks restart from the same origin constantly).
+* the **interned scan** (``view=``/``tables=`` wired by the engine)
+  reads a frozen :class:`~repro.core.fastpath.GraphView` and steps the
+  automaton through an :class:`~repro.regex.interner.InternedStepTable`
+  — every per-candidate operation is an int-keyed probe, and walk
+  starts are memoised per runner (walks restart from the same origin
+  constantly).  It serves every query where label-keyed memoisation is
+  sound: exact mode, no query-time predicates;
+* the **frozenset scan** walks the graph's adjacency through the
+  trackers (:class:`~repro.regex.matcher.ForwardTracker` /
+  :class:`~repro.regex.matcher.BackwardTracker`) — always sound, and
+  what ``label_mode="sampled"`` and predicate queries take.
 
-Jump randomness goes through a sampler (``rng_batch=True`` pre-draws
-1024-uniform blocks; ``False`` is the draw-for-draw legacy stream), and
-hot-path counters (``scanned``, sampler refills, table hits/misses)
-feed ``QueryResult.info``.
+Both scans list candidates in CSR order and draw each jump from one
+:class:`~repro.rng.BatchedIndexSampler` (1024-uniform blocks), so on
+one seed they take identical walks.  Hot-path counters (``scanned``,
+sampler refills, table hits/misses) feed ``QueryResult.stats``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,31 +54,7 @@ from repro.regex.compiler import CompiledRegex
 from repro.regex.interner import EMPTY_STATE_ID, InternedStepTable
 from repro.regex.matcher import BackwardTracker, ForwardTracker
 from repro.regex.nfa import StateSet
-from repro.rng import BatchedIndexSampler, LegacyIndexSampler
-
-
-def interned_start_ids(
-    tracker: Union[ForwardTracker, BackwardTracker],
-    tables: InternedStepTable,
-    origin: int,
-    forward: bool,
-) -> Tuple[int, int]:
-    """Interned ``(meeting key, continuation)`` state ids at a walk
-    origin.
-
-    Start states are identical for every walk of one side (walks always
-    restart from the same origin), so both the scalar runner and the
-    wavefront kernel compute them once through the frozenset tracker and
-    keep the interned pair.  Forward walks key and continue on the same
-    set; backward walks may have a live key with a dead continuation
-    (the origin's own symbol ends an accepted word but cannot be
-    extended — the paper's Case 1 on the next step).
-    """
-    if forward:
-        sid = tables.intern(tracker.start(origin))
-        return (sid, sid)
-    start_key, current = tracker.start(origin)
-    return (tables.intern(start_key), tables.intern(current))
+from repro.rng import BatchedIndexSampler
 
 
 class SideRunner:
@@ -95,11 +73,9 @@ class SideRunner:
         meeting: str = "hashmap",
         max_edges: Optional[int] = None,
         min_edges: Optional[int] = None,
-        cache=None,
         trace: Optional[list] = None,
         view: Optional[GraphView] = None,
         tables: Optional[InternedStepTable] = None,
-        rng_batch: bool = True,
     ):
         self.graph = graph
         self.compiled = compiled
@@ -127,22 +103,22 @@ class SideRunner:
 
         if forward:
             self._tracker = ForwardTracker(
-                compiled, graph, elements, mode, rng, cache=cache
+                compiled, graph, elements, mode, rng
             )
             self._neighbors: Callable[[int], Sequence[int]] = (
                 graph.out_neighbors
             )
         else:
             self._tracker = BackwardTracker(
-                compiled, graph, elements, mode, rng, cache=cache
+                compiled, graph, elements, mode, rng
             )
             self._neighbors = graph.in_neighbors
         resolved = self._tracker.elements
         self._consume_nodes = resolved in ("nodes", "both")
         self._consume_edges = resolved in ("edges", "both")
 
-        #: fast path active iff the engine wired a view and tables —
-        #: the soundness gate (exact mode, no predicates) lives there
+        #: interned scan active iff the engine wired a view and tables
+        #: — the soundness gate (exact mode, no predicates) lives there
         self.fast = view is not None and tables is not None
         self._view = view
         self._tables = tables
@@ -155,10 +131,7 @@ class SideRunner:
                 self._indptr = view.in_indptr
                 self._indices = view.in_indices
                 self._edge_ls = view.in_edge_ls
-        if self.fast and rng_batch:
-            self._sampler = BatchedIndexSampler(rng)
-        else:
-            self._sampler = LegacyIndexSampler(rng)
+        self._sampler = BatchedIndexSampler(rng)
 
         # current-walk state
         self._path: List[int] = []
@@ -183,7 +156,7 @@ class SideRunner:
 
     @property
     def rng_refills(self) -> int:
-        """Block refills performed by a batched sampler (0 for legacy)."""
+        """Uniform blocks the jump sampler has drawn."""
         return self._sampler.refills
 
     def step(self) -> Optional[List[int]]:
@@ -228,9 +201,23 @@ class SideRunner:
         self.jumps += 1
         if self.fast:
             if self._start_ids is None:
-                self._start_ids = interned_start_ids(
-                    self._tracker, self._tables, self.origin, self.forward
-                )
+                # start states are identical for every walk of a side,
+                # so the interned (meeting key, continuation) pair is
+                # computed once through the frozenset tracker.  Forward
+                # walks key and continue on the same set; backward walks
+                # may have a live key with a dead continuation (the
+                # origin's own symbol ends an accepted word but cannot be
+                # extended — the paper's Case 1 on the next step).
+                tables = self._tables
+                if self.forward:
+                    sid = tables.intern(self._tracker.start(self.origin))
+                    self._start_ids = (sid, sid)
+                else:
+                    start_key, current = self._tracker.start(self.origin)
+                    self._start_ids = (
+                        tables.intern(start_key),
+                        tables.intern(current),
+                    )
             key_sid, self._sid = self._start_ids
             if key_sid == EMPTY_STATE_ID:
                 self._finish_walk()

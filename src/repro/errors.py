@@ -69,11 +69,14 @@ class TimeBudgetExceeded(ReproError):
 
 
 class VerificationError(ReproError):
-    """Base class for the independent oracle layer (:mod:`repro.verify`).
+    """Base class for failed answer checks.
 
-    Raised only by the verification machinery, never by the engines
-    themselves — an engine seeing one of these means the paranoid-mode
-    check it requested failed.
+    Raised by the independent oracle layer (:mod:`repro.verify`) and by
+    the engines' own witness checks: ARRIVAL and BBFS re-check every
+    joined witness against the regex before answering True, and raise
+    :class:`WitnessViolationError` instead of returning a path the
+    regex rejects.  Paranoid mode (``check=``) raises it too when the
+    oracle finds a violated invariant.
     """
 
 

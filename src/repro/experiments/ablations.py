@@ -11,9 +11,9 @@ Not in the paper's evaluation, but each isolates a decision the paper
   point of the ``(node, automatonState)`` hashmaps.
 * **bidirectional vs unidirectional sampling** — Sec. 4.1's motivation
   for walking from both endpoints.
-* **transition memoisation on/off** — this reproduction's own
-  optimisation (repro.regex.matcher._StepCache); measures what the
-  cache buys on repeated-transition workloads.
+
+Transition memoisation is not a variant: the walk loop memoises
+wherever that is sound (exact label mode, no query-time predicates).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ _VARIANTS = (
     ("sampled labels (App. C.1)", {"label_mode": "sampled"}),
     ("naive Case-3 check (Thm. 2)", {"meeting": "naive"}),
     ("unidirectional walks", {"bidirectional": False}),
-    ("no transition memoisation", {"step_cache": False}),
 )
 
 

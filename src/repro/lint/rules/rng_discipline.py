@@ -13,13 +13,12 @@ order, worker scheduling and whoever else touched the global stream.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator
 
 from repro.lint.framework import FileContext, Rule, Violation, register
 
 __all__ = [
     "LegacyNumpyRandomRule",
-    "PerElementDrawRule",
     "SeedBypassRule",
     "StdlibRandomRule",
     "UnseededDefaultRngRule",
@@ -228,86 +227,6 @@ class SeedBypassRule(Rule):
                         "repro.rng.ensure_rng (Generator passthrough "
                         "and None handling are lost)",
                     )
-
-
-#: Generator draw methods whose per-element use inside a loop defeats
-#: the wavefront's one-batched-block-per-superstep RNG contract
-_DRAW_METHODS = frozenset(
-    {
-        "choice",
-        "exponential",
-        "integers",
-        "normal",
-        "permutation",
-        "random",
-        "shuffle",
-        "standard_normal",
-        "uniform",
-    }
-)
-
-_LOOP_NODES = (ast.For, ast.AsyncFor, ast.While)
-_COMP_NODES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-
-
-@register
-class PerElementDrawRule(Rule):
-    """The wavefront kernel draws RNG blocks, never per element.
-
-    The whole point of :mod:`repro.core.wavefront` is that one
-    superstep advances every walk slot with a handful of kernel calls
-    — including exactly one batched uniform block from
-    :class:`repro.rng.WavefrontSampler`.  A ``rng.random()`` (or any
-    other Generator draw) inside a Python loop reintroduces the scalar
-    path's per-jump draw cost *and* couples the stream consumption
-    order to loop iteration order, silently changing the documented
-    per-slot stream contract.  The rule is scoped to the wavefront
-    module: scalar code is allowed (and expected) to draw per jump.
-    """
-
-    rule_id = "RNG005"
-    description = (
-        "per-element Generator draw inside a loop in the wavefront "
-        "kernel; draw one batched block per superstep "
-        "(repro.rng.WavefrontSampler)"
-    )
-
-    def check_file(self, ctx: FileContext) -> Iterator[Violation]:
-        if not ctx.in_module("repro.core.wavefront"):
-            return
-        seen: Set[int] = set()  # nested loops see the same call twice
-        for node in ast.walk(ctx.tree):
-            per_element: List[ast.AST] = []
-            if isinstance(node, _LOOP_NODES):
-                per_element = list(node.body) + list(node.orelse)
-            elif isinstance(node, _COMP_NODES):
-                # everything but the outermost iterable re-evaluates
-                # per element (a draw *producing* the iterable is a
-                # single batched block and stays legal)
-                if isinstance(node, ast.DictComp):
-                    per_element = [node.key, node.value]
-                else:
-                    per_element = [node.elt]
-                for position, comp in enumerate(node.generators):
-                    per_element.extend(comp.ifs)
-                    if position > 0:  # inner iterables rerun per element
-                        per_element.append(comp.iter)
-            for body in per_element:
-                for call in ast.walk(body):
-                    if (
-                        isinstance(call, ast.Call)
-                        and isinstance(call.func, ast.Attribute)
-                        and call.func.attr in _DRAW_METHODS
-                        and id(call) not in seen
-                    ):
-                        seen.add(id(call))
-                        yield ctx.violation(
-                            call,
-                            self.rule_id,
-                            f".{call.func.attr}() drawn per loop "
-                            "element; hoist one batched block per "
-                            "superstep (WavefrontSampler.uniforms)",
-                        )
 
 
 def _imported_from(ctx: FileContext, module: str) -> Dict[str, str]:

@@ -1,6 +1,6 @@
 """RNG006 — no ``np.random.Generator`` escaping into cross-worker code.
 
-RNG001–RNG005 police *where* generators come from (the ``ensure_rng``
+RNG001–RNG004 police *where* generators come from (the ``ensure_rng``
 funnel, no global seeding, no bare ``np.random.*`` draws).  RNG006
 polices where they *go*: a ``Generator`` handed to a worker — as a
 ``submit()`` argument, a thread/process ``target``/``args``, a

@@ -12,12 +12,12 @@ without editing code (docs/architecture.md §5h):
   ``with span(name, **attrs)`` context manager, exportable as
   JSON-lines and as a Chrome ``trace_event`` file;
 * :mod:`repro.obs.profiling` — the :func:`profiled` decorator plus the
-  walk-loop / wavefront-superstep samplers.
+  walk-loop sampler.
 
 Everything is **off by default** and free while off: the gate
 (:mod:`repro.obs.state`) hands hot paths shared no-op singletons, so
-the disabled cost is one flag read per query — never a branch inside a
-numpy inner loop.  Typical use::
+the disabled cost is one flag read per query — never a branch per
+jump.  Typical use::
 
     from repro import obs
 
@@ -42,10 +42,8 @@ from repro.obs.metrics import (
     render_snapshot,
 )
 from repro.obs.profiling import (
-    SuperstepSampler,
     WalkSampler,
     profiled,
-    superstep_sampler,
     walk_sampler,
 )
 from repro.obs.state import (
@@ -87,7 +85,6 @@ __all__ = [
     "NullTracer",
     "ObsConfig",
     "Span",
-    "SuperstepSampler",
     "Tracer",
     "WalkSampler",
     "active_config",
@@ -104,7 +101,6 @@ __all__ = [
     "render_snapshot",
     "reset",
     "span",
-    "superstep_sampler",
     "tracer",
     "tracing_enabled",
     "walk_sampler",

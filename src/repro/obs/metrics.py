@@ -6,8 +6,8 @@ design constraints come from the execution pipeline it instruments:
 * **thread-safe** — the batch executor's thread backend runs one engine
   per worker thread against the *shared* process registry, so every
   increment takes the instrument's lock (increments happen at query /
-  superstep granularity, never inside the numpy inner loops, so the
-  lock is far off the hot path);
+  walk granularity, never per jump, so the lock is far off the hot
+  path);
 * **mergeable across processes** — the process backend runs one engine
   per worker *process*, each with its own registry.  A registry
   serialises to a plain-data :class:`MetricsSnapshot` (dicts of ints and

@@ -1,22 +1,15 @@
-"""Profiling hooks: the ``@profiled`` decorator and loop samplers.
+"""Profiling hooks: the ``@profiled`` decorator and the walk sampler.
 
-Three granularities, all free when observability is disabled:
+Two granularities, both free when observability is disabled:
 
 * :func:`profiled` — wrap a function in a span plus a duration
   histogram.  The enabled check happens *per call* (one global flag
   read), so decorating at import time costs nothing until the gate
   opens.
-* :class:`WalkSampler` — the scalar ARRIVAL step loop's hook: one
-  record per completed walk (jumps accrued, side).  The engine fetches
-  the sampler once per query (``None`` when disabled), so the walk
-  loop pays one ``is not None`` test per walk — never per jump.
-* :class:`SuperstepSampler` — the wavefront kernel's hook: one record
-  per superstep (frontier width, jumps, meeting-probe hits), observed
-  into the fixed-bucket histograms ``wavefront.frontier_width``,
-  ``wavefront.jumps_per_superstep`` and ``wavefront.meeting_join_size``
-  plus a final ``wavefront.jumps_per_s`` rate per query.  The kernel's
-  numpy inner code is untouched: sampling reads SoA aggregates
-  (``alive.sum()``) between supersteps.
+* :class:`WalkSampler` — the ARRIVAL walk loop's hook: one record per
+  completed walk (jumps accrued, side).  The engine fetches the sampler
+  once per query (``None`` when disabled), so the walk loop pays one
+  ``is not None`` test per walk — never per jump.
 """
 
 from __future__ import annotations
@@ -28,10 +21,8 @@ from typing import Any, Callable, Optional, TypeVar, cast
 from repro.obs import state as _state
 
 __all__ = [
-    "SuperstepSampler",
     "WalkSampler",
     "profiled",
-    "superstep_sampler",
     "walk_sampler",
 ]
 
@@ -70,7 +61,7 @@ def profiled(name: Optional[str] = None) -> Callable[[_F], _F]:
 
 
 class WalkSampler:
-    """Per-walk sampling for the scalar ARRIVAL step loop."""
+    """Per-walk sampling for the ARRIVAL step loop."""
 
     __slots__ = ("_jumps", "_walks", "_hist")
 
@@ -95,43 +86,7 @@ class WalkSampler:
             )
 
 
-class SuperstepSampler:
-    """Per-superstep sampling for the wavefront kernel."""
-
-    __slots__ = ("_supersteps", "_frontier", "_jumps_hist", "_meet_hist")
-
-    def __init__(self) -> None:
-        registry = _state.metrics()
-        self._supersteps = registry.counter("wavefront.supersteps")
-        self._frontier = registry.histogram("wavefront.frontier_width")
-        self._jumps_hist = registry.histogram(
-            "wavefront.jumps_per_superstep"
-        )
-        self._meet_hist = registry.histogram("wavefront.meeting_join_size")
-
-    def record_superstep(
-        self, frontier_width: int, jumps: int, meet_candidates: int
-    ) -> None:
-        """One superstep of one side."""
-        self._supersteps.inc()
-        self._frontier.observe(frontier_width)
-        self._jumps_hist.observe(jumps)
-        if meet_candidates:
-            self._meet_hist.observe(meet_candidates)
-
-    def record_query(self, jumps: int, walk_s: float) -> None:
-        """Query-level rate over the whole wavefront run."""
-        if walk_s > 0:
-            _state.metrics().histogram("wavefront.jumps_per_s").observe(
-                jumps / walk_s
-            )
-
-
 def walk_sampler() -> Optional[WalkSampler]:
-    """A scalar-loop sampler, or None while observability is off."""
+    """A walk-loop sampler, or None while observability is off."""
     return WalkSampler() if _state.enabled() else None
 
-
-def superstep_sampler() -> Optional[SuperstepSampler]:
-    """A wavefront sampler, or None while observability is off."""
-    return SuperstepSampler() if _state.enabled() else None

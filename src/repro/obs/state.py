@@ -7,8 +7,8 @@ returns the shared :class:`~repro.obs.metrics.NullRegistry` and
 methods are no-ops on shared singletons — the cost model the <3%
 overhead bar holds the system to is **one flag read or one no-op method
 call per query/stage**, and *nothing* per jump (hot loops fetch their
-sampler handle once per query and test ``is not None`` at walk /
-superstep granularity).
+sampler handle once per query and test ``is not None`` once per
+walk).
 
 Enabling (:func:`enable`) swaps in a live
 :class:`~repro.obs.metrics.MetricsRegistry` and — when asked — a live

@@ -28,7 +28,7 @@ the frozenset trackers otherwise.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -48,13 +48,12 @@ class StateSetInterner:
     dead" stays an integer comparison.
     """
 
-    __slots__ = ("_ids", "_sets", "_tuples", "_padded")
+    __slots__ = ("_ids", "_sets", "_tuples")
 
     def __init__(self) -> None:
         self._ids: Dict[StateSet, int] = {EMPTY_STATES: EMPTY_STATE_ID}
         self._sets: List[StateSet] = [EMPTY_STATES]
         self._tuples: List[Tuple[int, ...]] = [()]
-        self._padded: Optional[npt.NDArray[np.int64]] = None
 
     def intern(self, states: StateSet) -> int:
         """The id of ``states``, allocating one on first sight."""
@@ -73,27 +72,6 @@ class StateSetInterner:
     def tuple_of(self, sid: int) -> Tuple[int, ...]:
         """The id's states as a pre-sorted tuple (meeting-index keys)."""
         return self._tuples[sid]
-
-    def padded_matrix(self) -> npt.NDArray[np.int64]:
-        """``(n_sids, max_set_size)`` state matrix, ``-1``-padded.
-
-        Row ``sid`` holds :meth:`tuple_of` left-aligned; the wavefront
-        kernel indexes it with a whole frontier's state ids at once to
-        build ``(node, state)`` meeting keys without a per-walk loop.
-        Rebuilt lazily when new sets were interned since the last call
-        (sid growth is bounded by the automaton's subset space, so
-        rebuilds stop once the table saturates).
-        """
-        padded = self._padded
-        if padded is None or padded.shape[0] != len(self._sets):
-            width = max(
-                1, max((len(states) for states in self._tuples), default=1)
-            )
-            padded = np.full((len(self._sets), width), -1, dtype=np.int64)
-            for sid, states in enumerate(self._tuples):
-                padded[sid, : len(states)] = states
-            self._padded = padded
-        return padded
 
     def __len__(self) -> int:
         return len(self._sets)
@@ -142,8 +120,6 @@ class InternedStepTable:
         "sym_ids",
         "_alphabet",
         "_key_ids",
-        "_sym_arr",
-        "_dense",
         "hits",
         "misses",
     )
@@ -158,11 +134,6 @@ class InternedStepTable:
         self.sym_ids: List[int] = []
         self._alphabet = nfa.literal_alphabet()
         self._key_ids: Dict[Tuple[LabelSet, bool], int] = {}
-        #: numpy mirror of ``sym_ids`` for bulk lookups (lazy)
-        self._sym_arr: Optional[npt.NDArray[np.int32]] = None
-        #: dense ``(sid, symbol_key) -> sid`` mirror of ``table`` for the
-        #: wavefront kernel's bulk lookups; ``-1`` marks "not cached yet"
-        self._dense: Optional[npt.NDArray[np.int32]] = None
         self.hits = 0
         self.misses = 0
 
@@ -212,19 +183,22 @@ class InternedStepTable:
         Returns the interned state sets (in id order), the symbol-key
         map, and the ``sym_ids`` / dense-transition arrays — the two
         arrays go into shared-memory segments, the rest rides in the
-        manifest blob.  The dense mirror is synchronised with the
-        scalar ``table`` first, so transitions learned on either path
-        are shipped.
+        manifest blob.  The dense array is the shipping format of
+        ``table``: ``dense[sid, skid]`` is the cached next state id, or
+        ``-1`` where the transition was never taken.
         """
         self.project()
-        dense = self._ensure_dense()
-        sym_ids = self.sym_ids
+        dense = np.full(
+            (len(self.interner), max(1, len(self._key_ids))),
+            -1,
+            dtype=np.int32,
+        )
         for (sid, skid), nsid in self.table.items():
             dense[sid, skid] = nsid
         return {
             "state_sets": list(self.interner._sets),
             "key_ids": dict(self._key_ids),
-            "sym_ids": np.asarray(sym_ids, dtype=np.int32),
+            "sym_ids": np.asarray(self.sym_ids, dtype=np.int32),
             "dense": dense,
         }
 
@@ -244,81 +218,16 @@ class InternedStepTable:
         exporting automaton — guaranteed here because both sides
         compile the same canonical regex source with the deterministic
         Thompson construction — and when ``label_sets`` is the adopted
-        (id-stable) interner table.  The dense mirror is copied into a
-        private writable array: shared-memory views are read-only, and
-        the mirror keeps learning transitions after adoption.
+        (id-stable) interner table.  The dense array is read once, into
+        ``table``; the (read-only, shared-memory) array itself is not
+        kept.
         """
         table = cls(nfa, label_sets)
         for states in state_sets:
             table.interner.intern(states)
         table._key_ids = dict(key_ids)
         table.sym_ids = [int(skid) for skid in sym_ids.tolist()]
-        mirror = np.array(dense, dtype=np.int32)
-        table._dense = mirror
-        rows, cols = np.nonzero(mirror >= 0)
+        rows, cols = np.nonzero(dense >= 0)
         for sid, skid in zip(rows.tolist(), cols.tolist()):
-            table.table[(sid, skid)] = int(mirror[sid, skid])
+            table.table[(sid, skid)] = int(dense[sid, skid])
         return table
-
-    # -- bulk (wavefront) interface ------------------------------------
-    def key_state_matrix(self) -> npt.NDArray[np.int64]:
-        """``-1``-padded per-sid state matrix (meeting-key construction)."""
-        return self.interner.padded_matrix()
-
-    def _sym_array(self) -> npt.NDArray[np.int32]:
-        sym_arr = self._sym_arr
-        if sym_arr is None or sym_arr.shape[0] != len(self.sym_ids):
-            sym_arr = np.asarray(self.sym_ids, dtype=np.int32)
-            self._sym_arr = sym_arr
-        return sym_arr
-
-    def _ensure_dense(self) -> npt.NDArray[np.int32]:
-        """The dense transition mirror, grown to the current id space."""
-        rows = len(self.interner)
-        cols = max(1, len(self._key_ids))
-        dense = self._dense
-        if dense is None or dense.shape != (rows, cols):
-            grown = np.full((rows, cols), -1, dtype=np.int32)
-            if dense is not None:
-                grown[: dense.shape[0], : dense.shape[1]] = dense
-            dense = grown
-            self._dense = dense
-        return dense
-
-    def bulk_step(
-        self,
-        sids: npt.NDArray[np.int32],
-        lsids: npt.NDArray[np.int32],
-    ) -> npt.NDArray[np.int32]:
-        """Vectorised :meth:`step` over parallel arrays of ids.
-
-        Cached transitions resolve through one fancy-indexed read of the
-        dense mirror; misses (rare once the table saturates — see the
-        class docstring's symbol-key argument) are deduplicated — a
-        frontier is full of walks in the same state scanning same-
-        labeled edges, so one uncached pair may occur thousands of
-        times per call — then fall back to :meth:`step` once per
-        distinct pair and are written back to the mirror.  Counter
-        semantics match the scalar probe: every element resolved from
-        the mirror is a hit; each distinct pair that went through
-        :meth:`step` counts itself there.
-        """
-        syms = self._sym_array()[lsids]
-        dense = self._ensure_dense()
-        out = dense[sids, syms]
-        missing = np.nonzero(out < 0)[0]
-        resolved = int(out.size)
-        if missing.size:
-            pairs = sids[missing].astype(np.int64) * np.int64(
-                len(self._key_ids) + 1
-            ) + syms[missing]
-            first = missing[np.unique(pairs, return_index=True)[1]]
-            for index in first:
-                nsid = self.step(int(sids[index]), int(lsids[index]))
-                # step() may have interned new state sets; regrow first
-                dense = self._ensure_dense()
-                dense[int(sids[index]), int(syms[index])] = nsid
-            out[missing] = dense[sids[missing], syms[missing]]
-            resolved -= int(first.size)  # step() counted those itself
-        self.hits += resolved
-        return out

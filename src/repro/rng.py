@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import numpy.typing as npt
 
 RngLike = Union[None, int, np.random.Generator]
 
@@ -49,26 +48,6 @@ def choice_index(rng: np.random.Generator, n: int) -> int:
     return int(rng.integers(n))
 
 
-class LegacyIndexSampler:
-    """One ``rng.integers`` call per draw — the historical stream.
-
-    Byte-identical to the draw order every pre-batching seed produced,
-    so seed-pinned tests (and the fast-vs-slow equivalence sweeps, which
-    need *identical* jump choices on both paths) can opt into it via
-    ``rng_batch=False``.
-    """
-
-    __slots__ = ("_rng", "refills")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self.refills = 0
-
-    def index(self, n: int) -> int:
-        """Uniform index in ``[0, n)``."""
-        return int(self._rng.integers(n))
-
-
 class BatchedIndexSampler:
     """Pre-draws blocks of uniforms; one cheap multiply per index.
 
@@ -78,8 +57,7 @@ class BatchedIndexSampler:
     amortises that overhead ~``block``-fold.  ``int(u * n)`` is exact for
     ``u in [0, 1)`` and any practical ``n`` (the product of the largest
     double below 1 with ``n`` rounds below ``n``), so indices stay in
-    range without a guard.  Same seed still means the same walk, but the
-    draw *order* differs from :class:`LegacyIndexSampler`.
+    range without a guard.  Same seed still means the same walk.
     """
 
     __slots__ = ("_rng", "_block", "_buffer", "_position", "refills")
@@ -102,58 +80,6 @@ class BatchedIndexSampler:
             self.refills += 1
         self._position = position + 1
         return int(self._buffer[position] * n)
-
-
-class WavefrontSampler:
-    """One uniform per walk slot per superstep, drawn in per-slot blocks.
-
-    The wavefront kernel (:mod:`repro.core.wavefront`) advances every
-    walk of one side at once and needs one uniform double per slot per
-    superstep.  Drawing them slot-by-slot would reintroduce the per-jump
-    ``Generator`` overhead the kernel exists to remove, so each slot owns
-    a :class:`~numpy.random.SeedSequence`-derived child stream (via
-    :func:`spawn`) and draws ``block`` uniforms at a time; a superstep
-    consumes one column of the resulting ``(n_slots, block)`` matrix.
-
-    **Stream contract.**  For a fixed parent generator state and a fixed
-    ``n_slots``, slot ``i`` always sees the same uniform sequence — the
-    kernel's answers are deterministic per (seed, width), independent of
-    which slots happen to be alive (every slot's uniform is consumed
-    each superstep, used or not).  The stream is *not* the scalar walk
-    engine's stream: wavefront answers are reproducible but not
-    jump-identical to :class:`LegacyIndexSampler` /
-    :class:`BatchedIndexSampler` runs.
-    """
-
-    __slots__ = ("_streams", "_block", "_buffer", "_column", "refills")
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        n_slots: int,
-        block: int = 128,
-    ) -> None:
-        if n_slots < 1:
-            raise ValueError("n_slots must be positive")
-        if block < 1:
-            raise ValueError("block size must be positive")
-        self._streams = spawn(rng, n_slots)
-        self._block = block
-        self._buffer: Optional[npt.NDArray[np.float64]] = None
-        self._column = block
-        self.refills = 0
-
-    def uniforms(self) -> npt.NDArray[np.float64]:
-        """The next superstep's uniforms, one per slot, in ``[0, 1)``."""
-        if self._buffer is None or self._column >= self._block:
-            self._buffer = np.stack(
-                [stream.random(self._block) for stream in self._streams]
-            )
-            self._column = 0
-            self.refills += 1
-        column = self._buffer[:, self._column]
-        self._column += 1
-        return column
 
 
 def weighted_index(rng: np.random.Generator, weights: Sequence[float]) -> int:

@@ -10,10 +10,16 @@ The central properties under test, from Sec. 3.2.3 and Sec. 4:
   unidirectional ablation, adaptivity).
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.baselines.bfs import BFSEngine
 from repro.core.arrival import Arrival
 from repro.errors import QueryError
@@ -127,6 +133,61 @@ class TestNoFalsePositives:
         if result.reachable:
             oracle = BFSEngine(graph, max_expansions=200_000)
             assert oracle.query(0, 1, "(a | b)* c?").reachable
+
+
+#: run under ``python -O``: corrupt the meeting join of ARRIVAL and of
+#: BBFS so it returns [0, 1] — a real simple path whose word "a" the
+#: regex "a a" rejects — and report how each engine answers
+_CORRUPT_JOIN_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import repro.baselines.bbfs as bbfs
+    import repro.core.walks as walks
+    from repro.core import make_engine
+    from repro.errors import WitnessViolationError
+    from repro.graph.labeled_graph import LabeledGraph
+
+    graph = LabeledGraph(directed=True)
+    graph.labeled_elements = "edges"
+    graph.add_nodes(3)
+    graph.add_edge(0, 1, {"a"})
+    graph.add_edge(1, 2, {"a"})
+    walks.hashmap_meet = lambda *args, **kwargs: [0, 1]
+    bbfs.join_paths = lambda *args: [0, 1]
+    print("optimize", sys.flags.optimize)
+    for name, kwargs in (
+        ("arrival", {"walk_length": 4, "num_walks": 4, "seed": 1}),
+        ("bbfs", {}),
+    ):
+        try:
+            result = make_engine(name, graph, **kwargs).query(0, 2, "a a")
+        except WitnessViolationError as error:
+            print(name, "raised", error.invariant)
+        else:
+            print(name, "answered", result.reachable)
+    """
+)
+
+
+class TestWitnessCheck:
+    def test_rejected_join_raises_under_python_O(self):
+        """The no-false-positive guarantee is enforced by an explicit
+        check, not an ``assert`` that ``python -O`` strips."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", _CORRUPT_JOIN_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.splitlines() == [
+            "optimize 1",
+            "arrival raised rejected",
+            "bbfs raised rejected",
+        ]
 
 
 class TestRecallOnEasyGraphs:

@@ -50,7 +50,6 @@ FAN_FRAGMENT = [f"{L0}+", f"{L0} {L1}*", f"{L0}? {L1}+", f"{L0}{{1,3}}"]
 
 FRAGMENTS = {
     "arrival": FULL_REGEX,
-    "arrival-wf": FULL_REGEX,
     "auto": FULL_REGEX,
     "bfs": FULL_REGEX,
     "bbfs": FULL_REGEX,
@@ -70,7 +69,6 @@ ENGINE_KWARGS = {
     "bbfs": {"max_expansions": 20_000},
     "rl": {"max_visits": 20_000},
     "arrival": {"walk_length": 12, "num_walks": 48},
-    "arrival-wf": {"walk_length": 12, "num_walks": 48},
     "auto": {"walk_length": 12, "num_walks": 48},
 }
 

@@ -162,7 +162,7 @@ class TestFigures:
             dataset="gplus", scale=0.06, n_queries=4, seed=5
         )
         _assert_valid(result)
-        assert len(result.rows) == 5
+        assert len(result.rows) == 4
 
 
 class TestReport:

@@ -5,23 +5,27 @@ Three layers of coverage:
 * unit checks of the interning machinery (`LabelSetInterner`,
   `StateSetInterner`, `InternedStepTable` with symbol-key projection,
   `GraphView`) against the frozenset reference implementations;
-* gating — sampled label mode, predicate queries and the ablation
-  switches must all route queries down the frozenset fallback path
-  (``result.info["fast_path"] is False``) and still answer;
-* a seeded equivalence sweep over the synthetic datasets: with
-  ``rng_batch=False`` both paths consume the RNG identically, so the
-  fast path must reproduce the baseline *walk for walk* — identical
-  ``reachable`` answers and identical witness paths.
+* gating — sampled label mode and predicate queries must take the
+  frozenset scan (``result.info["fast_path"] is False``) and still
+  answer; the removed walk-path switches are constructor errors;
+* a seeded equivalence sweep over the synthetic datasets: both scans
+  draw their jumps from one ``BatchedIndexSampler`` stream, so the
+  interned scan must reproduce the frozenset scan *walk for walk* —
+  identical ``reachable`` answers, witness paths and jump counts.
 """
+
+import gc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Arrival
+from repro.core import Arrival, make_engine
+from repro.core.plan import PlanCache
 from repro.core.fastpath import GraphView, LabelSetInterner, build_graph_view
 from repro.datasets import dblp_like, freebase_like, gplus_like
+from repro.errors import QueryError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.labels import PredicateRegistry
 from repro.queries import WorkloadGenerator
@@ -31,7 +35,7 @@ from repro.regex.interner import (
     InternedStepTable,
     StateSetInterner,
 )
-from repro.rng import BatchedIndexSampler, LegacyIndexSampler
+from repro.rng import BatchedIndexSampler
 
 from strategies import diamond_graph, small_edge_labeled_graphs
 
@@ -223,14 +227,6 @@ class TestGraphView:
 # samplers
 # ---------------------------------------------------------------------------
 class TestSamplers:
-    def test_legacy_matches_historical_stream(self):
-        draws = [7, 3, 9, 2, 100]
-        sampler = LegacyIndexSampler(np.random.default_rng(5))
-        reference = np.random.default_rng(5)
-        for n in draws:
-            assert sampler.index(n) == int(reference.integers(n))
-        assert sampler.refills == 0
-
     def test_batched_in_range_and_counts_refills(self):
         sampler = BatchedIndexSampler(np.random.default_rng(5), block=16)
         seen = set()
@@ -258,23 +254,24 @@ class TestFastPathGating:
         assert result.info["fast_path"] is True
         assert result.stats is not None
 
-    def test_fast_path_switch_forces_baseline(self):
-        graph = diamond_graph()
-        engine = Arrival(
-            graph, walk_length=6, num_walks=24, seed=1, fast_path=False
-        )
-        result = engine.query(0, 3, "(a b) | (c d)")
-        assert result.reachable
-        assert result.info["fast_path"] is False
+    @pytest.mark.parametrize(
+        "switch",
+        [
+            {"fast_path": False},
+            {"step_cache": False},
+            {"rng_batch": False},
+            {"walk_mode": "wavefront"},
+            {"wavefront_width": 64},
+        ],
+        ids=lambda switch: next(iter(switch)),
+    )
+    def test_removed_walk_switches_are_rejected(self, switch):
+        with pytest.raises(TypeError):
+            Arrival(diamond_graph(), seed=1, **switch)
 
-    def test_step_cache_ablation_disables_fast_path(self):
-        graph = diamond_graph()
-        engine = Arrival(
-            graph, walk_length=6, num_walks=24, seed=1, step_cache=False
-        )
-        result = engine.query(0, 3, "(a b) | (c d)")
-        assert result.reachable
-        assert result.info["fast_path"] is False
+    def test_wavefront_engine_is_not_registered(self):
+        with pytest.raises(QueryError, match="unknown engine"):
+            make_engine("arrival-wf", diamond_graph())
 
     def test_sampled_mode_takes_fallback(self):
         graph = diamond_graph()
@@ -338,44 +335,73 @@ EQUIVALENCE_DATASETS = [
 ]
 
 
+def _frozenset_scan(monkeypatch, engine):
+    """Force ``engine`` onto the frozenset scan by closing its one gate."""
+    monkeypatch.setattr(engine, "_interned_scan_sound", lambda compiled: False)
+    return engine
+
+
 @pytest.mark.parametrize(
     "name,factory", EQUIVALENCE_DATASETS, ids=[d[0] for d in EQUIVALENCE_DATASETS]
 )
-def test_seeded_equivalence_sweep(name, factory):
-    """With ``rng_batch=False`` both paths draw the same RNG stream, so
-    answers AND witness paths must match query for query."""
+def test_seeded_equivalence_sweep(monkeypatch, name, factory):
+    """Both scans list candidates in CSR order and draw each jump from
+    one batched sampler, so answers, witness paths and jump counts must
+    match query for query."""
     graph = factory()
     generator = WorkloadGenerator(graph, seed=11)
     queries = [
         generator.sample_query(positive_bias=0.5) for _ in range(25)
     ]
-    baseline = Arrival(
-        graph, walk_length=16, num_walks=48, seed=23, fast_path=False
+    baseline = _frozenset_scan(
+        monkeypatch, Arrival(graph, walk_length=16, num_walks=48, seed=23)
     )
-    fast = Arrival(
-        graph,
-        walk_length=16,
-        num_walks=48,
-        seed=23,
-        fast_path=True,
-        rng_batch=False,
-    )
+    fast = Arrival(graph, walk_length=16, num_walks=48, seed=23)
     for query in queries:
         expected = baseline.query(query)
         actual = fast.query(query)
+        assert expected.info["fast_path"] is False, str(query)
+        assert actual.info["fast_path"] is True, str(query)
         assert actual.reachable == expected.reachable, str(query)
         assert actual.path == expected.path, str(query)
         assert actual.jumps == expected.jumps, str(query)
 
 
-def test_batched_rng_equivalence_of_answers():
-    """rng_batch=True changes the draw order (not the distribution); on
-    an easy positive and an impossible negative the answers are forced
-    regardless of the stream."""
+def test_batched_rng_equivalence_of_answers(monkeypatch):
+    """On an easy positive and an impossible negative the answers are
+    forced whichever scan draws from the batched sampler."""
     graph = diamond_graph()
-    for rng_batch in (False, True):
-        engine = Arrival(
-            graph, walk_length=6, num_walks=48, seed=5, rng_batch=rng_batch
-        )
+    for interned in (True, False):
+        engine = Arrival(graph, walk_length=6, num_walks=48, seed=5)
+        if not interned:
+            _frozenset_scan(monkeypatch, engine)
         assert engine.query(0, 3, "(a b) | (c d)").reachable
         assert not engine.query(0, 3, "d c").reachable
+
+
+def _live_step_tables():
+    gc.collect()
+    return sum(
+        isinstance(obj, InternedStepTable) for obj in gc.get_objects()
+    )
+
+
+def test_step_tables_are_bounded_by_the_plan_cache():
+    """Step tables live and die with their compiled regex, so an engine
+    serving fresh templates holds no more of them than its plan cache
+    holds regexes: two levels of ``max_plans``, two directions each."""
+    graph = gplus_like(n_nodes=150, seed=7)
+    labels = sorted(graph.label_alphabet())[:11]
+    templates = [f"{a} {b}*" for a in labels for b in labels if a != b]
+    assert len(templates) >= 100
+    before = _live_step_tables()
+    engine = Arrival(
+        graph,
+        walk_length=6,
+        num_walks=8,
+        seed=3,
+        plan_cache=PlanCache(max_plans=8),
+    )
+    for template in templates[:100]:
+        engine.query(0, 1, template)
+    assert _live_step_tables() - before <= 32

@@ -51,7 +51,6 @@ ALL_RULE_IDS = {
     "RNG002",
     "RNG003",
     "RNG004",
-    "RNG005",
     "RNG006",
     "SHM001",
     "SNAP001",
@@ -204,80 +203,6 @@ class TestRngRules:
         )
         found = run_lint(
             tmp_path, {"repro/core/executor.py": source}, select=["RNG004"]
-        )
-        assert found == []
-
-    def test_rng005_per_element_draw_in_loop(self, tmp_path):
-        source = (
-            "def advance(rng, frontier):\n"
-            "    picks = []\n"
-            "    for slot in frontier:\n"
-            "        picks.append(rng.random())\n"
-            "    return picks\n"
-        )
-        found = run_lint(
-            tmp_path,
-            {"repro/core/wavefront.py": source},
-            select=["RNG005"],
-        )
-        assert rule_ids(found) == {"RNG005"}
-
-    def test_rng005_per_element_draw_in_comprehension(self, tmp_path):
-        source = (
-            "def picks(rng, counts):\n"
-            "    return [rng.integers(0, n) for n in counts]\n"
-        )
-        found = run_lint(
-            tmp_path,
-            {"repro/core/wavefront.py": source},
-            select=["RNG005"],
-        )
-        assert rule_ids(found) == {"RNG005"}
-
-    def test_rng005_batched_block_passes(self, tmp_path):
-        # the sanctioned shape: one block per superstep, indexed in bulk
-        source = (
-            "def advance(sampler, frontier):\n"
-            "    uniforms = sampler.uniforms()\n"
-            "    out = []\n"
-            "    for slot in frontier:\n"
-            "        out.append(uniforms[slot])\n"
-            "    return out\n"
-        )
-        found = run_lint(
-            tmp_path,
-            {"repro/core/wavefront.py": source},
-            select=["RNG005"],
-        )
-        assert found == []
-
-    def test_rng005_batched_draw_as_loop_iterable_passes(self, tmp_path):
-        # drawing the iterable itself is one batched block, not
-        # per-element consumption
-        source = (
-            "def spread(rng, walks):\n"
-            "    return [int(u * walks) for u in rng.random(8)]\n"
-        )
-        found = run_lint(
-            tmp_path,
-            {"repro/core/wavefront.py": source},
-            select=["RNG005"],
-        )
-        assert found == []
-
-    def test_rng005_scoped_to_the_wavefront_module(self, tmp_path):
-        # the scalar walk loop legitimately draws per jump
-        source = (
-            "def jump(rng, candidates):\n"
-            "    for candidate in candidates:\n"
-            "        if rng.random() < 0.5:\n"
-            "            return candidate\n"
-            "    return None\n"
-        )
-        found = run_lint(
-            tmp_path,
-            {"repro/core/walks.py": source},
-            select=["RNG005"],
         )
         assert found == []
 

@@ -617,7 +617,6 @@ class TestProfiled:
 
     def test_samplers_absent_while_disabled(self):
         assert obs.walk_sampler() is None
-        assert obs.superstep_sampler() is None
 
     def test_walk_sampler_records(self):
         obs.enable()
@@ -630,18 +629,6 @@ class TestProfiled:
         assert snap.counters["arrival.jumps"] == 6
         assert snap.histograms["arrival.jumps_per_walk"].count == 2
         assert snap.histograms["arrival.jumps_per_s"].count == 1
-
-    def test_superstep_sampler_records(self):
-        obs.enable()
-        sampler = obs.superstep_sampler()
-        sampler.record_superstep(32, 30, 0)
-        sampler.record_superstep(16, 12, 3)
-        snap = obs.registry().snapshot()
-        assert snap.counters["wavefront.supersteps"] == 2
-        assert snap.histograms["wavefront.frontier_width"].count == 2
-        # zero meeting candidates are not observed (they would swamp
-        # the join-size distribution)
-        assert snap.histograms["wavefront.meeting_join_size"].count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +722,6 @@ ENGINE_BUDGETS = {
     "bbfs": {"max_expansions": 20_000},
     "rl": {"max_visits": 20_000},
     "arrival": {"walk_length": 12, "num_walks": 48},
-    "arrival-wf": {"walk_length": 12, "num_walks": 48},
     "auto": {"walk_length": 12, "num_walks": 48},
 }
 
@@ -817,15 +803,6 @@ class TestInstrumentationIntegration:
                 serial.histograms[name].count
                 == process.histograms[name].count
             ), name
-
-    def test_wavefront_superstep_metrics_appear(self, graph, workload):
-        obs.enable()
-        engine = make_engine("arrival-wf", graph, seed=11)
-        for query in workload[:4]:
-            engine.query(query)
-        snap = obs.registry().snapshot()
-        assert snap.counters.get("wavefront.supersteps", 0) > 0
-        assert "wavefront.frontier_width" in snap.histograms
 
     def test_plan_cache_metrics_appear(self, graph, workload):
         obs.enable()

@@ -141,3 +141,22 @@ class TestAnswers:
         by_args = engine.query(0, 5, "follows:h0*")
         by_object = engine.query(RSPQuery(0, 5, "follows:h0*"))
         assert by_args.reachable == by_object.reachable
+
+
+class TestMutation:
+    def test_landmark_index_follows_graph_mutations(self):
+        """LI answers from the snapshot its index was built on, so a
+        mutated graph must get a fresh index, not a stale True."""
+        graph = twitter_like(n_nodes=200, n_hubs=6, seed=2)
+        labels = sorted(graph.label_alphabet())[:6]
+        query = RSPQuery(0, 100, "(" + " | ".join(labels) + ")*")
+        engine = AutoEngine(graph, seed=1)
+        before = engine.query(query)
+        assert before.info["routed_to"] == "LI"
+        assert before.reachable
+        for neighbor in list(graph.out_neighbors(0)):
+            graph.remove_edge(0, neighbor)
+        after = engine.query(query)
+        assert after.info["routed_to"] == "LI"
+        assert not after.reachable
+        assert after.exact

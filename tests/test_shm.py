@@ -272,3 +272,34 @@ class TestWarmTables:
 
     def test_plane_without_donor_has_no_tables(self, plane):
         assert plane.manifest.n_tables == 0
+
+    def test_auto_engine_adopts_the_attached_view(self, plane):
+        """Workers built from an ``auto`` factory reuse the attached view
+        through the router's ARRIVAL route instead of rebuilding it."""
+        bundle = attach_bundle(plane.acquire())
+        try:
+            worker = make_engine(
+                "auto", bundle.graph,
+                walk_length=12, num_walks=40, seed=SEED,
+            )
+            worker.adopt_shared_plane(
+                bundle.view, bundle.interner, bundle.warm_tables
+            )
+            worker.prepare()
+            assert worker.arrival.view_rebuilds == 0
+        finally:
+            bundle.close()
+            plane.release()
+
+    def test_auto_engine_donates_its_warm_tables(self, graph):
+        queries = WorkloadGenerator(graph, seed=7).generate(6)
+        donor = make_engine(
+            "auto", graph, walk_length=12, num_walks=40, seed=SEED
+        )
+        for query in queries:
+            donor.query(query)
+        plane = GraphPlane.export(graph, engine=donor)
+        try:
+            assert plane.manifest.n_tables > 0
+        finally:
+            plane.close()

@@ -251,15 +251,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "column, e.g. --chart 'K:Recall'",
     )
 
-    lint = commands.add_parser(
+    # listed for --help only: main() forwards `repro lint ...` to
+    # python -m repro.lint before this parser runs
+    commands.add_parser(
         "lint",
         help="run the repro.lint invariant linter",
         add_help=False,
-    )
-    lint.add_argument(
-        "lint_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to python -m repro.lint",
     )
 
     return parser
@@ -574,12 +571,6 @@ def _cmd_verify(args) -> int:
     return 1 if payload["n_divergences"] else 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.lint.cli import main as lint_main
-
-    return lint_main(list(args.lint_args))
-
-
 _HANDLERS = {
     "generate": _cmd_generate,
     "workload": _cmd_workload,
@@ -589,7 +580,6 @@ _HANDLERS = {
     "enumerate": _cmd_enumerate,
     "verify": _cmd_verify,
     "experiment": _cmd_experiment,
-    "lint": _cmd_lint,
 }
 
 

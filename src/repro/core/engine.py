@@ -371,10 +371,18 @@ class EngineBase:
         started: float,
     ) -> QueryResult:
         """Execute ``plan`` and attach stats (the shared back half of
-        :meth:`query` and :meth:`execute`)."""
+        :meth:`query` and :meth:`execute`).
+
+        Raises :class:`TypeError`, naming the engine, when ``_execute``
+        returns anything but a :class:`QueryResult`."""
         plan_s, compile_s, params_s, hit, evictions = plan.consume_counters()
         with obs.span("engine.execute", engine=self.name) as span:
             result = self._execute(plan, **kwargs)
+            if not isinstance(result, QueryResult):
+                raise TypeError(
+                    f"{self.name} _execute returned "
+                    f"{type(result).__name__}, not a QueryResult"
+                )
             span.set_attr("reachable", bool(result.reachable))
         elapsed = time.perf_counter() - started
         stats = result.stats

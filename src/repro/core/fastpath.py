@@ -87,7 +87,8 @@ class SideArrays:
     (:mod:`repro.core.shm`) wants contiguous buffers it can ship
     zero-copy.  A ``SideArrays`` carries the same CSR rows and label-set
     ids as the view's list fields, as ``int32`` arrays, frozen like
-    everything else here.
+    everything else here: the constructor marks all four arrays
+    read-only, so a write through any alias raises ``ValueError``.
     """
 
     __slots__ = ("indptr", "indices", "edge_ls", "node_ls")
@@ -99,6 +100,8 @@ class SideArrays:
         edge_ls: npt.NDArray[np.int32],
         node_ls: npt.NDArray[np.int32],
     ) -> None:
+        for array in (indptr, indices, edge_ls, node_ls):
+            array.setflags(write=False)
         self.indptr = indptr
         self.indices = indices
         self.edge_ls = edge_ls

@@ -243,7 +243,7 @@ def adopt_stamp(graph: LabeledGraph, stamp: GraphStamp) -> None:
 # ---------------------------------------------------------------------------
 # plans
 # ---------------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class PlanArtifact:
     """The reusable product of planning one query template.
 
@@ -253,6 +253,10 @@ class PlanArtifact:
     length, numWalks, ... — keyed by the engine's plan scope, since two
     engines may estimate differently).  ``compile_s`` records what the
     one-time compile cost, so warm executions can report 0.
+
+    Frozen: one cached artifact serves every query of its template, so
+    assigning a field after construction raises
+    :class:`dataclasses.FrozenInstanceError`.
     """
 
     fingerprint: str

@@ -55,6 +55,9 @@ def run(
     truths = ground_truths(oracle, queries)
     walk_length = estimate_walk_length(graph, seed=rng)
     num_walks = recommended_num_walks(graph.num_nodes)
+    # one seed for every variant: each row's walks start from the same
+    # stream, whatever the variants before it drew, so rows are paired
+    variant_seed = int(rng.integers(1 << 32))
 
     rows = []
     for name, overrides in _VARIANTS:
@@ -62,7 +65,7 @@ def run(
             graph,
             walk_length=walk_length,
             num_walks=num_walks,
-            seed=rng,
+            seed=variant_seed,
             **overrides,
         )
         metrics = workload_metrics(evaluate_workload(engine, queries, truths))

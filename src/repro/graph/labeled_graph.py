@@ -53,10 +53,12 @@ class CSRSnapshot:
     ``indices[indptr[u]:indptr[u + 1]]`` are ``u``'s neighbours, in the
     same order as the adjacency lists.  Dead nodes have empty rows (their
     incident edges are removed with them), so the arrays cover every
-    allocated id without indexing tricks.  The snapshot is immutable; a
-    graph mutation makes it stale (its ``version`` no longer matches) and
-    the next :meth:`LabeledGraph.out_csr` / :meth:`LabeledGraph.in_csr`
-    call rebuilds.
+    allocated id without indexing tricks.  The snapshot is immutable: the
+    fields are frozen and both arrays are read-only, so a write through
+    any alias or view raises ``ValueError``.  A graph mutation makes it
+    stale (its ``version`` no longer matches) and the next
+    :meth:`LabeledGraph.out_csr` / :meth:`LabeledGraph.in_csr` call
+    rebuilds.
     """
 
     version: int
@@ -329,6 +331,8 @@ class LabeledGraph:
             if row:
                 indices[position : position + len(row)] = row
                 position += len(row)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
         snapshot = CSRSnapshot(
             version=self._version, indptr=indptr, indices=indices
         )

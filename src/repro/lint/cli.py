@@ -1,40 +1,22 @@
 """Command line interface: ``python -m repro.lint [paths...]``.
 
 Exit codes are CI-friendly: ``0`` clean, ``1`` violations found,
-``2`` usage error (unknown rule id, git unavailable for ``--changed``).
-
-Beyond the basics the CLI exposes the production machinery:
-
-* ``--format sarif`` for GitHub code-scanning upload;
-* ``--cache-dir`` for incremental runs (warm unchanged trees
-  re-analyze zero files);
-* ``--jobs N`` for parallel per-file analysis (``0`` = cpu count);
-* ``--changed`` to lint only files differing from ``HEAD`` (the
-  pre-commit hook's mode);
-* ``--fix`` to apply the mechanical autofixes before reporting;
-* ``--profile relaxed`` for script trees (benchmarks/, examples/)
-  where the RNG funnel and wall-clock discipline do not apply.
+``2`` usage error.  ``--profile relaxed`` is for script trees
+(benchmarks/, examples/) where the RNG funnel and wall-clock discipline
+do not apply.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, Optional, Sequence
 
-from repro.lint.framework import (
-    Rule,
-    all_rules,
-    render_json,
-    render_text,
-    run_lint,
-)
+from repro.lint.framework import all_rules, lint_paths, render_text
 
 __all__ = ["main"]
 
-#: rule ids each profile ignores on top of ``--ignore``
+#: rule ids each profile ignores
 _PROFILES: Dict[str, FrozenSet[str]] = {
     "strict": frozenset(),
     # standalone scripts own their seeds and their stopwatches
@@ -42,25 +24,14 @@ _PROFILES: Dict[str, FrozenSet[str]] = {
 }
 
 
-def _split_ids(values: Optional[Sequence[str]]) -> Optional[List[str]]:
-    if not values:
-        return None
-    ids: List[str] = []
-    for value in values:
-        ids.extend(part.strip() for part in value.split(",") if part.strip())
-    return ids or None
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "AST + dataflow invariant linter for the repro codebase: RNG "
-            "discipline, iteration determinism, engine conformance, "
-            "picklability, exception taxonomy, snapshot immutability, "
-            "wall-clock discipline, __all__ coverage, plus the "
-            "whole-program rules (alias mutation, generator escape, "
-            "frozen plans, engine raise paths)."
+            "AST invariant linter for the repro codebase: RNG "
+            "discipline, iteration determinism, picklability, exception "
+            "taxonomy, wall-clock discipline, the plan funnel, __all__ "
+            "coverage and oracle independence."
         ),
     )
     parser.add_argument(
@@ -70,58 +41,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--select",
-        action="append",
-        metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        metavar="IDS",
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
         "--profile",
         choices=tuple(sorted(_PROFILES)),
         default="strict",
         help="rule profile (relaxed: script trees; default: strict)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze N files concurrently (0 = cpu count, default: 1)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=(
-            "incremental cache directory; warm runs on an unchanged "
-            "tree re-analyze zero files"
-        ),
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files that differ from git HEAD (plus untracked)",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply mechanical autofixes (EXC001, API001/API002) first",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache/parallelism statistics to stderr",
     )
     parser.add_argument(
         "--list-rules",
@@ -132,75 +55,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.list_rules:
         for rule in all_rules():
-            kind = (
-                "project"
-                if rule.check_project is not Rule.check_project
-                else "file"
-            )
-            print(f"{rule.rule_id:8s} [{kind:7s}] {rule.description}")
+            print(f"{rule.rule_id:8s} {rule.description}")
         return 0
 
-    paths: List[str] = list(args.paths)
-    if args.changed:
-        from repro.lint.gitchanged import GitUnavailableError, changed_python_files
-
-        try:
-            paths = changed_python_files(paths)
-        except GitUnavailableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not paths:
-            print("found 0 violations (no changed python files)")
-            return 0
-
-    select = _split_ids(args.select)
-    ignore = list(_split_ids(args.ignore) or [])
-    for profile_ignore in sorted(_PROFILES[args.profile]):
-        if profile_ignore not in ignore:
-            ignore.append(profile_ignore)
-
-    if args.fix:
-        from repro.lint.autofix import apply_fixes
-
-        edited = apply_fixes(paths, select=select)
-        if args.stats and edited:
-            for relpath in sorted(edited):
-                print(
-                    f"fixed {edited[relpath]} finding(s) in {relpath}",
-                    file=sys.stderr,
-                )
-
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    try:
-        report = run_lint(
-            paths,
-            select=select,
-            ignore=ignore or None,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            jobs=jobs,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.stats:
-        print(
-            f"files: {report.files_total} total, "
-            f"{report.files_analyzed} analyzed, "
-            f"{report.files_from_cache} from cache"
-            + (" (project cached)" if report.project_from_cache else ""),
-            file=sys.stderr,
-        )
-
-    violations = report.violations
-    if args.format == "json":
-        print(render_json(violations))
-    elif args.format == "sarif":
-        from repro.lint.sarif import render_sarif
-
-        print(render_sarif(violations))
-    else:
-        print(render_text(violations))
+    violations = lint_paths(args.paths, ignore=_PROFILES[args.profile])
+    print(render_text(violations))
     return 1 if violations else 0
 
 

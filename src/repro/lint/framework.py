@@ -5,11 +5,8 @@ The framework is deliberately small and dependency-free:
 * :class:`FileContext` — one parsed source file (path, module name,
   source, AST, per-line suppression table), shared by every rule so the
   file is read and parsed exactly once.
-* :class:`ProjectContext` — every :class:`FileContext` of one run, for
-  rules that check cross-file invariants (e.g. engine registration).
 * :class:`Rule` — the plug-in base class.  A rule overrides
-  :meth:`Rule.check_file` (called once per file) and/or
-  :meth:`Rule.check_project` (called once per run) and yields
+  :meth:`Rule.check_file` (called once per file) and yields
   :class:`Violation` records.  Decorating the class with
   :func:`register` adds it to the registry the CLI runs.
 * :func:`lint_paths` — discovery, parsing, rule dispatch, suppression
@@ -27,10 +24,7 @@ the offending expression (and the comment) lines below it.
 from __future__ import annotations
 
 import ast
-import json
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     ClassVar,
@@ -47,16 +41,12 @@ from typing import (
 
 __all__ = [
     "FileContext",
-    "LintReport",
-    "ProjectContext",
     "Rule",
     "Violation",
     "all_rules",
     "lint_paths",
     "register",
-    "render_json",
     "render_text",
-    "run_lint",
     "SYNTAX_RULE_ID",
 ]
 
@@ -108,15 +98,6 @@ class Violation(Tuple[str, int, int, str, str]):
     def format_text(self) -> str:
         """The ``file:line:col: RULE-ID message`` form CI logs show."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule_id,
-            "message": self.message,
-        }
 
 
 class FileContext:
@@ -239,24 +220,11 @@ def _statement_spans(tree: ast.Module) -> List[Tuple[int, int]]:
     return spans
 
 
-class ProjectContext:
-    """Every file of one lint run (the cross-file rule surface)."""
-
-    def __init__(self, files: Sequence[FileContext]) -> None:
-        self.files: List[FileContext] = list(files)
-        self.by_module: Dict[str, FileContext] = {
-            ctx.module: ctx for ctx in self.files
-        }
-        self.by_path: Dict[str, FileContext] = {
-            ctx.relpath: ctx for ctx in self.files
-        }
-
-
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set :attr:`rule_id` and :attr:`description`, override one
-    (or both) of the ``check_*`` hooks, and register themselves with the
+    Subclasses set :attr:`rule_id` and :attr:`description`, override
+    :meth:`check_file`, and register themselves with the
     :func:`register` decorator::
 
         @register
@@ -272,17 +240,9 @@ class Rule:
 
     rule_id: ClassVar[str] = ""
     description: ClassVar[str] = ""
-    #: bump when the rule's logic changes — folded into the incremental
-    #: cache signature so stale cached findings are invalidated even
-    #: though the tree itself did not change
-    version: ClassVar[int] = 0
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
         """Per-file findings (default: none)."""
-        return iter(())
-
-    def check_project(self, project: ProjectContext) -> Iterator[Violation]:
-        """Cross-file findings, called once per run (default: none)."""
         return iter(())
 
 
@@ -358,234 +318,50 @@ def _relpath(path: Path, roots: Sequence[Path]) -> str:
         return path.as_posix()
 
 
-def _select_rules(
-    select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]
-) -> List[Type[Rule]]:
+def _select_rules(ignore: Optional[Iterable[str]]) -> List[Type[Rule]]:
     rules = all_rules()
     known = {cls.rule_id for cls in rules}
-    for requested in list(select or []) + list(ignore or []):
+    unwanted = set(ignore or [])
+    for requested in sorted(unwanted):
         if requested not in known:
             raise ValueError(
                 f"unknown rule id {requested!r}; known: {', '.join(sorted(known))}"
             )
-    if select:
-        wanted = set(select)
-        rules = [cls for cls in rules if cls.rule_id in wanted]
-    if ignore:
-        unwanted = set(ignore)
-        rules = [cls for cls in rules if cls.rule_id not in unwanted]
-    return rules
+    return [cls for cls in rules if cls.rule_id not in unwanted]
 
 
-@dataclass
-class LintReport:
-    """Outcome of one :func:`run_lint` invocation."""
-
-    violations: List[Violation] = field(default_factory=list)
-    #: python files in the run
-    files_total: int = 0
-    #: files whose per-file rules actually executed this run
-    files_analyzed: int = 0
-    #: files served entirely from the incremental cache
-    files_from_cache: int = 0
-    #: whole-program results served from the cache (exact-tree match)
-    project_from_cache: bool = False
-
-
-@dataclass
-class _SourceEntry:
-    path: Path
-    relpath: str
-    source: str
-    digest: str
-    read_error: Optional[str] = None
-
-
-def _read_sources(roots: Sequence[Path]) -> List[_SourceEntry]:
-    from repro.lint.cache import file_digest
-
-    entries: List[_SourceEntry] = []
-    for file_path in discover_files(roots):
-        relpath = _relpath(file_path, roots)
-        read_error: Optional[str] = None
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError, ValueError) as exc:
-            source = ""
-            read_error = str(exc)
-        entries.append(
-            _SourceEntry(
-                file_path, relpath, source, file_digest(source), read_error
-            )
-        )
-    return entries
-
-
-def _check_file_rules(
-    rules: Sequence[Rule], ctx: FileContext
+def lint_paths(
+    paths: Sequence[str], *, ignore: Optional[Iterable[str]] = None
 ) -> List[Violation]:
-    """Run every per-file rule over one file and filter suppressions.
-
-    Module-level on purpose: parallel runs submit this to the pool, and
-    PKL001's own policy (no locally defined callables across a worker
-    boundary) applies to the linter too."""
-    found: List[Violation] = []
-    for rule in rules:
-        found.extend(rule.check_file(ctx))
-    return [
-        violation
-        for violation in found
-        if not ctx.is_suppressed(violation.line, violation.rule_id)
-    ]
-
-
-def run_lint(
-    paths: Sequence[str],
-    *,
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    cache_dir: Optional[Path] = None,
-    jobs: int = 1,
-) -> LintReport:
-    """Lint files/directories and return a :class:`LintReport`.
-
-    With ``cache_dir`` set, per-file results are reused for files whose
-    content hash matches the previous run (under the same rule set and
-    rule versions), and whole-program results are reused when the
-    entire tree is unchanged — a fully warm run re-analyzes zero files
-    and never parses.  ``jobs > 1`` analyzes files concurrently.
+    """Lint files/directories and return sorted, suppression-filtered
+    violations of every registered rule not in ``ignore``.
 
     Unparseable files surface as :data:`SYNTAX_RULE_ID` violations
     rather than aborting the run.
     """
-    from repro.lint.cache import LintCache, project_key, rules_signature
-
     roots = [Path(path) for path in paths]
-    rule_classes = _select_rules(select, ignore)
-    signature = rules_signature(rule_classes)
-    entries = _read_sources(roots)
-    report = LintReport(files_total=len(entries))
-
-    cache = LintCache(cache_dir) if cache_dir is not None else None
-    tree_key = project_key(
-        signature, [(entry.relpath, entry.digest) for entry in entries]
-    )
-
-    # fully warm fast path: unchanged tree, same rules -> no parsing
-    if cache is not None:
-        cached_project = cache.get_project(tree_key)
-        if cached_project is not None:
-            cached_files: List[Violation] = []
-            complete = True
-            for entry in entries:
-                cached = cache.get_file(
-                    entry.relpath, entry.digest, signature
-                )
-                if cached is None:
-                    complete = False
-                    break
-                cached_files.extend(cached)
-            if complete:
-                report.violations = sorted(
-                    set(cached_files) | set(cached_project)
-                )
-                report.files_from_cache = len(entries)
-                report.project_from_cache = True
-                return report
-
-    file_rules = [
-        cls() for cls in rule_classes if cls.check_file is not Rule.check_file
-    ]
-    project_rules = [
-        cls()
-        for cls in rule_classes
-        if cls.check_project is not Rule.check_project
-    ]
-
-    contexts: List[FileContext] = []
+    rules = [cls() for cls in _select_rules(ignore)]
     violations: List[Violation] = []
-    to_analyze: List[FileContext] = []
-    analyzed_relpaths: List[Tuple[str, str]] = []
-    for entry in entries:
+    for file_path in discover_files(roots):
+        relpath = _relpath(file_path, roots)
         try:
-            if entry.read_error is not None:
-                raise ValueError(entry.read_error)
-            ctx = FileContext(entry.path, entry.relpath, entry.source)
-        except (SyntaxError, ValueError) as exc:
+            source = file_path.read_text(encoding="utf-8")
+            ctx = FileContext(file_path, relpath, source)
+        except (OSError, SyntaxError, ValueError) as exc:
             line = getattr(exc, "lineno", None) or 1
-            broken = Violation(
-                entry.relpath, line, 1, SYNTAX_RULE_ID, f"cannot parse: {exc}"
-            )
-            violations.append(broken)
-            if cache is not None:
-                cache.put_file(
-                    entry.relpath, entry.digest, signature, [broken]
+            violations.append(
+                Violation(
+                    relpath, line, 1, SYNTAX_RULE_ID, f"cannot parse: {exc}"
                 )
+            )
             continue
-        contexts.append(ctx)
-        cached = (
-            cache.get_file(entry.relpath, entry.digest, signature)
-            if cache is not None
-            else None
-        )
-        if cached is not None:
-            violations.extend(cached)
-            report.files_from_cache += 1
-        else:
-            to_analyze.append(ctx)
-            analyzed_relpaths.append((entry.relpath, entry.digest))
-
-    if jobs > 1 and len(to_analyze) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_check_file_rules, file_rules, ctx)
-                for ctx in to_analyze
-            ]
-            fresh = [future.result() for future in futures]
-    else:
-        fresh = [_check_file_rules(file_rules, ctx) for ctx in to_analyze]
-    for (relpath, digest), found in zip(analyzed_relpaths, fresh):
-        violations.extend(found)
-        if cache is not None:
-            cache.put_file(relpath, digest, signature, found)
-    report.files_analyzed = len(to_analyze)
-
-    project = ProjectContext(contexts)
-    project_violations: List[Violation] = []
-    for rule in project_rules:
-        project_violations.extend(rule.check_project(project))
-    project_violations = [
-        violation
-        for violation in project_violations
-        if not _suppressed(project, violation)
-    ]
-    violations.extend(project_violations)
-    if cache is not None:
-        cache.put_project(tree_key, sorted(set(project_violations)))
-        cache.prune(entry.relpath for entry in entries)
-        cache.save()
-
-    report.violations = sorted(set(violations))
-    return report
-
-
-def lint_paths(
-    paths: Sequence[str],
-    *,
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> List[Violation]:
-    """Lint files/directories and return sorted, suppression-filtered
-    violations (the cache-less, single-threaded convenience wrapper
-    around :func:`run_lint`)."""
-    return run_lint(paths, select=select, ignore=ignore).violations
-
-
-def _suppressed(project: ProjectContext, violation: Violation) -> bool:
-    ctx = project.by_path.get(violation.path)
-    if ctx is None:
-        return False
-    return ctx.is_suppressed(violation.line, violation.rule_id)
+        for rule in rules:
+            violations.extend(
+                violation
+                for violation in rule.check_file(ctx)
+                if not ctx.is_suppressed(violation.line, violation.rule_id)
+            )
+    return sorted(set(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +374,3 @@ def render_text(violations: Sequence[Violation]) -> str:
     count = len(violations)
     lines.append(f"found {count} violation{'s' if count != 1 else ''}")
     return "\n".join(lines)
-
-
-def render_json(violations: Sequence[Violation]) -> str:
-    """A JSON document: ``{"violations": [...], "count": N}``."""
-    return json.dumps(
-        {
-            "violations": [violation.as_dict() for violation in violations],
-            "count": len(violations),
-        },
-        indent=2,
-    )

@@ -1,76 +1,46 @@
 """Built-in rules of :mod:`repro.lint`.
 
 Importing this package registers every rule with the framework
-registry.  Rule ids are grouped by invariant family:
+registry.  Every rule is per-file and syntactic: the invariants that
+can be checked on live objects (read-only CSR and shared-memory arrays,
+frozen plan artifacts, ``with``-only tracing spans, typed ``_execute``
+results, engine registration) are enforced at runtime or by tests over
+the live classes instead, see ``docs/architecture.md`` §5c.  Rule ids
+are grouped by invariant family:
 
 ========  ==========================================================
 family    ids
 ========  ==========================================================
 RNG       RNG001 stdlib random, RNG002 unseeded default_rng,
-          RNG003 legacy numpy.random API, RNG004 ensure_rng bypass,
-          RNG006 Generator escaping into cross-worker callables
-          (dataflow)
+          RNG003 legacy numpy.random API, RNG004 ensure_rng bypass
 DET       DET001 unordered-set iteration in deterministic packages
-ENG       ENG001 unregistered engine, ENG002 undeclared capabilities
 PKL       PKL001 unpicklable callable handed to the process backend
-EXC       EXC001 bare except, EXC002 ad-hoc builtin raise, EXC003
-          engine _execute paths outside the exception taxonomy
-          (whole-program, call graph)
-SNAP      SNAP001 CSR snapshot mutation outside labeled_graph
-SHM       SHM001 write through an attached shared-memory plane /
-          SharedMemory use outside repro.core.shm
-MUT       MUT001 alias-reachable snapshot/graph mutation (dataflow)
+EXC       EXC001 bare except, EXC002 ad-hoc builtin raise
 TIM       TIM001 wall-clock read outside timing code
-OBS       OBS001 tracing span opened outside a with block / manual
-          Span.end() in instrumented code
-PLN       PLN001 raw compile_regex bypassing the plan funnel,
-          PLN002 Plan/PlanArtifact assigned after __init__
-          (dataflow)
+PLN       PLN001 raw compile_regex bypassing the plan funnel
 API       API001 __all__ coverage, API002 stale __all__ entry
-VER       VER001 engine imports the oracle layer, VER002 registered
-          engine without a conformance entry
+VER       VER001 engine imports the oracle layer
 ========  ==========================================================
-
-The rules marked *dataflow* run the abstract interpreter in
-:mod:`repro.lint.semantic.dataflow` per file; *whole-program* rules
-additionally consult the shared :class:`~repro.lint.semantic.model.
-SemanticModel` (symbol tables, import graph, call graph).
 """
 
 from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     determinism,
-    engine_paths,
-    engines,
     exceptions,
-    mutation,
-    obs_spans,
     picklable,
-    plan_frozen,
     planner,
     public_api,
     rng_discipline,
-    rng_escape,
-    shm,
-    snapshots,
     verify,
     wallclock,
 )
 
 __all__ = [
     "determinism",
-    "engine_paths",
-    "engines",
     "exceptions",
-    "mutation",
-    "obs_spans",
     "picklable",
-    "plan_frozen",
     "planner",
     "public_api",
     "rng_discipline",
-    "rng_escape",
-    "shm",
-    "snapshots",
     "verify",
     "wallclock",
 ]

@@ -1,43 +1,26 @@
-"""Oracle-independence rules.
+"""Oracle-independence rule.
 
 The verification layer (:mod:`repro.verify`) exists to re-check the
 engines with no shared code paths — which only means something if the
 dependency arrow points one way.  VER001 enforces the direction:
 engine-layer modules may not import from ``repro.verify`` (the one
 sanctioned crossing, the lazy paranoid-mode hook in
-``repro.core.engine``, carries an explicit ``noqa``).  VER002 closes
-the registration loophole: an engine added to ``_ENGINE_SPECS`` without
-a conformance entry would silently skip the cross-engine test suite.
+``repro.core.engine``, carries an explicit ``noqa``).
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator
 
-from repro.lint.framework import (
-    FileContext,
-    ProjectContext,
-    Rule,
-    Violation,
-    register,
-)
+from repro.lint.framework import FileContext, Rule, Violation, register
 
-__all__ = ["ConformanceEntryRule", "OracleIndependenceRule"]
+__all__ = ["OracleIndependenceRule"]
 
 #: packages whose modules the oracle checks — they must not import it
 _ENGINE_PACKAGES = ("repro.core", "repro.baselines")
 
 _VERIFY_PACKAGE = "repro.verify"
-
-#: name of the registry mapping in repro.core.engine
-_SPEC_NAME = "_ENGINE_SPECS"
-
-#: name of the conformance table in tests/test_engine_conformance.py
-_FRAGMENTS_NAME = "FRAGMENTS"
-
-_CONFORMANCE_MODULE = "test_engine_conformance"
 
 
 @register
@@ -78,99 +61,3 @@ class OracleIndependenceRule(Rule):
                         f"{ctx.module}; the witness oracle must share no "
                         "code paths with the engines it validates",
                     )
-
-
-def _dict_string_keys(
-    tree: ast.Module, name: str
-) -> Optional[List[Tuple[str, ast.expr]]]:
-    """String keys (with their nodes) of a module-level dict assigned to
-    ``name``, or None when no such assignment exists."""
-    for node in tree.body:
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        if not any(
-            isinstance(target, ast.Name) and target.id == name
-            for target in targets
-        ):
-            continue
-        if not isinstance(value, ast.Dict):
-            continue
-        keys: List[Tuple[str, ast.expr]] = []
-        for key in value.keys:
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                keys.append((key.value, key))
-        return keys
-    return None
-
-
-def _conformance_names(
-    project: ProjectContext, registry_ctx: FileContext
-) -> Optional[Dict[str, bool]]:
-    """Engine names carrying a conformance entry, or None when no
-    conformance table is reachable (rule stays inert then).
-
-    The table is looked up in the lint run itself first; since CI lints
-    ``src`` only, the fallback walks up from the registry file to find
-    ``tests/test_engine_conformance.py`` on disk.
-    """
-    for ctx in project.files:
-        if ctx.module.split(".")[-1] != _CONFORMANCE_MODULE:
-            continue
-        keys = _dict_string_keys(ctx.tree, _FRAGMENTS_NAME)
-        if keys is not None:
-            return {name: True for name, _ in keys}
-    for parent in Path(registry_ctx.path).resolve().parents:
-        candidate = parent / "tests" / f"{_CONFORMANCE_MODULE}.py"
-        if not candidate.is_file():
-            continue
-        try:
-            tree = ast.parse(
-                candidate.read_text(encoding="utf-8"),
-                filename=str(candidate),
-            )
-        except SyntaxError:
-            return None
-        keys = _dict_string_keys(tree, _FRAGMENTS_NAME)
-        if keys is not None:
-            return {name: True for name, _ in keys}
-        return None
-    return None
-
-
-@register
-class ConformanceEntryRule(Rule):
-    """Registered engines must have a conformance-suite entry."""
-
-    rule_id = "VER002"
-    description = (
-        "engine registered in _ENGINE_SPECS without a FRAGMENTS entry in "
-        "tests/test_engine_conformance.py"
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Violation]:
-        for ctx in project.files:
-            spec_keys = _dict_string_keys(ctx.tree, _SPEC_NAME)
-            if spec_keys is None:
-                continue
-            covered = _conformance_names(project, ctx)
-            if covered is None:
-                # no conformance table reachable; nothing to check
-                return
-            for name, node in spec_keys:
-                if name not in covered:
-                    yield ctx.violation(
-                        node,
-                        self.rule_id,
-                        f"engine {name!r} is registered but has no "
-                        f"{_FRAGMENTS_NAME} entry in tests/"
-                        f"{_CONFORMANCE_MODULE}.py; every registered "
-                        "engine must run the conformance suite",
-                    )
-            return

@@ -11,10 +11,11 @@ deliberately a *context manager*::
 
 which guarantees every span closes exactly once, in LIFO order, even
 when the region raises (the exception type is recorded as the
-``error`` attribute).  :class:`Span` does expose :meth:`Span.end` —
-exporters and the context manager need it — but calling it manually
-from engine code is flagged by lint rule OBS001: a hand-closed span is
-exactly the kind that leaks open on an early return.
+``error`` attribute).  :meth:`Tracer.span` only builds the record; the
+span opens on ``with`` entry (id, parent, start time, push onto the
+thread's stack) and closes on exit.  There is no public ``end()``, so
+a span can neither be closed by hand nor leak open: one that is never
+entered never joins the stack and never becomes a parent.
 
 Timings come from :func:`time.perf_counter_ns` (monotonic, ns
 resolution); wall-clock anchors are never recorded, so traces diff
@@ -56,9 +57,9 @@ __all__ = [
 
 
 class Span:
-    """One timed region.  Created by :meth:`Tracer.span`, closed by the
-    context manager (OBS001 bars manual :meth:`end` calls in engine
-    code)."""
+    """One timed region.  Built by :meth:`Tracer.span`, opened on
+    ``with`` entry and closed on exit; until it is entered it has no id,
+    no parent and no start time."""
 
     __slots__ = (
         "name",
@@ -72,42 +73,30 @@ class Span:
     )
 
     def __init__(
-        self,
-        name: str,
-        span_id: int,
-        parent_id: Optional[int],
-        thread_id: int,
-        start_ns: int,
-        attrs: Dict[str, Any],
-        tracer: "Tracer",
+        self, name: str, attrs: Dict[str, Any], tracer: "Tracer"
     ) -> None:
         self.name = name
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.thread_id = thread_id
-        self.start_ns = start_ns
+        self.span_id = 0
+        self.parent_id: Optional[int] = None
+        self.thread_id = 0
+        self.start_ns = 0
         self.end_ns: Optional[int] = None
         self.attrs = attrs
         self._tracer = tracer
 
     # -- context manager ----------------------------------------------
     def __enter__(self) -> "Span":
+        self._tracer._open(self)
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
-        self.end()
+        self._tracer._close(self)
 
     def set_attr(self, key: str, value: Any) -> None:
         """Attach one attribute to the span while it is open."""
         self.attrs[key] = value
-
-    def end(self) -> None:
-        """Close the span (idempotent).  Exists for the context manager
-        and exporters; engine code must use ``with`` (OBS001)."""
-        if self.end_ns is None:
-            self._tracer._close(self)
 
     # -- views ---------------------------------------------------------
     @property
@@ -154,27 +143,22 @@ class Tracer:
         return stack
 
     def span(self, name: str, **attrs: Any) -> Span:
-        """Open a nested span; use as a context manager."""
+        """A nested span, opened when its ``with`` block is entered."""
+        return Span(name, attrs, self)
+
+    def _open(self, span: Span) -> None:
         stack = self._stack()
-        parent_id = stack[-1].span_id if stack else None
-        record = Span(
-            name=name,
-            span_id=next(self._ids),
-            parent_id=parent_id,
-            thread_id=threading.get_ident(),
-            start_ns=int(self._clock()),
-            attrs=attrs,
-            tracer=self,
-        )
-        stack.append(record)
-        return record
+        span.span_id = next(self._ids)
+        span.parent_id = stack[-1].span_id if stack else None
+        span.thread_id = threading.get_ident()
+        span.start_ns = int(self._clock())
+        stack.append(span)
 
     def _close(self, span: Span) -> None:
         span.end_ns = int(self._clock())
         stack = self._stack()
-        # LIFO discipline: the context manager guarantees the closing
-        # span is the innermost open one; be tolerant of stray closes
-        # from other threads' views
+        # LIFO discipline: a ``with`` block closes the innermost open
+        # span, unless a suspended generator exits its block late
         if stack and stack[-1] is span:
             stack.pop()
         elif span in stack:
@@ -249,9 +233,6 @@ class NullSpan:
         pass
 
     def set_attr(self, key: str, value: Any) -> None:
-        pass
-
-    def end(self) -> None:
         pass
 
     @property

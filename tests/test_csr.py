@@ -8,7 +8,10 @@ mutations and re-checks the mirror after every step — the
 dynamic-graph semantics the paper's index-free claim rests on.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +91,39 @@ class TestCSRSnapshot:
         graph.add_edge(1, 2, {"e"})
         assert_csr_mirrors_adjacency(graph)
         assert set(graph.out_csr().neighbors(1).tolist()) == {0, 2}
+
+
+class TestSnapshotImmutability:
+    """CSR snapshots are shared by every engine reading one graph
+    version, so a write through any name would corrupt them all: the
+    arrays are read-only and the dataclass fields frozen."""
+
+    def test_item_writes_raise(self):
+        graph = diamond_graph()
+        with pytest.raises(ValueError):
+            graph.out_csr().indices[0] = 1
+        with pytest.raises(ValueError):
+            graph.out_csr().indptr[0] = 1
+        with pytest.raises(ValueError):
+            graph.out_csr().neighbors(0)[0] = 1
+
+    def test_writes_through_an_alias_raise(self):
+        graph = diamond_graph()
+        arr = graph.in_csr().indices
+        with pytest.raises(ValueError):
+            arr += 1
+        view = arr[1:]
+        with pytest.raises(ValueError):
+            view.fill(0)
+        assert_csr_mirrors_adjacency(graph)
+
+    def test_snapshot_fields_and_graph_version_are_frozen(self):
+        graph = diamond_graph()
+        snapshot = graph.out_csr()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snapshot.indices = snapshot.indices.copy()
+        with pytest.raises(AttributeError):
+            graph.version = 7
 
 
 @st.composite

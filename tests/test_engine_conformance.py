@@ -16,10 +16,17 @@ invariants:
   engines' completed answers agree with the BBFS oracle.
 """
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import repro
 from repro.core.engine import (
+    _ENGINE_SPECS,
     Engine,
+    EngineBase,
     EngineCapabilities,
     engine_class,
     engine_names,
@@ -28,7 +35,7 @@ from repro.core.engine import (
 from repro.core.result import QueryResult
 from repro.core.stats import ExecStats
 from repro.datasets import twitter_like
-from repro.errors import UnsupportedQueryError
+from repro.errors import ReproError, UnsupportedQueryError
 from repro.queries import RSPQuery
 from repro.regex.matcher import COMPATIBLE, check_path, is_simple
 
@@ -111,6 +118,80 @@ def queries_for(name, query_set):
 # ---------------------------------------------------------------------------
 def test_registry_covers_every_fragment_map():
     assert set(FRAGMENTS) == set(ALL_ENGINES)
+
+
+def _repro_modules():
+    """Every module of the ``repro`` package, imported."""
+    return [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith("__main__")
+    ]
+
+
+#: the EngineBase class flags EngineCapabilities derives from, plus the
+#: property an engine may override instead
+_CAPABILITY_DECLARATIONS = frozenset(
+    {
+        "approximate",
+        "capabilities",
+        "enforces_simple_paths",
+        "index_free",
+        "supports_distance_bounds",
+        "supports_dynamic",
+        "supports_full_regex",
+        "supports_query_time_labels",
+    }
+)
+
+
+def test_every_engine_class_is_registered_and_declares_itself():
+    # underscore-prefixed subclasses are scaffolding, not engines
+    _repro_modules()
+    found = {}
+    pending = [EngineBase]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            pending.append(cls)
+            if (
+                cls.__module__.startswith("repro.")
+                and not cls.__name__.startswith("_")
+                and not inspect.isabstract(cls)
+            ):
+                found[(cls.__module__, cls.__name__)] = cls
+    registered = {(module, name) for module, name, _ in _ENGINE_SPECS.values()}
+    assert set(found) == registered
+    for key, cls in found.items():
+        assert "name" in vars(cls), f"{key} does not set `name`"
+        assert set(vars(cls)) & _CAPABILITY_DECLARATIONS, (
+            f"{key} declares no capability flag and no `capabilities`"
+        )
+
+
+def test_every_repro_exception_is_in_the_taxonomy():
+    for module in _repro_modules():
+        for name, value in vars(module).items():
+            if (
+                inspect.isclass(value)
+                and issubclass(value, BaseException)
+                and value.__module__ == module.__name__
+            ):
+                assert issubclass(value, ReproError), (
+                    f"{module.__name__}.{name} is outside the ReproError "
+                    "taxonomy"
+                )
+
+
+class _NoResultEngine(EngineBase):
+    name = "NO-RESULT"
+
+    def _execute(self, plan, **kwargs):
+        return None
+
+
+def test_execute_must_return_a_query_result():
+    with pytest.raises(TypeError, match="NO-RESULT"):
+        _NoResultEngine().query(0, 1, "a")
 
 
 @pytest.mark.parametrize("name", ALL_ENGINES)

@@ -7,6 +7,7 @@ import time
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -139,6 +140,32 @@ def test_process_backend_matches_serial(graph, factory):
         factory=factory, backend="process", workers=2, seed=42
     ).run(queries)
     assert forked.answers() == serial.answers()
+
+
+def test_generator_in_the_factory_never_reaches_an_answer():
+    # a seeded executor reseeds every worker's setup and every query from
+    # SeedSequence spawn keys, so a Generator bound into the factory (and
+    # pickled into process workers) cannot leak into the answers
+    graph = gplus_like(n_nodes=150, seed=6)
+    queries = workload(graph, 8)
+    outcomes = set()
+    for k in (0, 1):
+        factory = partial(
+            make_engine, "arrival", graph, seed=np.random.default_rng(k)
+        )
+        for backend, workers in (("serial", 1), ("thread", 2), ("process", 1)):
+            report = BatchExecutor(
+                factory=factory, backend=backend, workers=workers, seed=7
+            ).run(queries)
+            outcomes.add(
+                tuple(
+                    (result.reachable, result.path, result.jumps)
+                    for result in report.results
+                )
+            )
+    assert len(outcomes) == 1
+    (answers,) = outcomes
+    assert sum(jumps for _, _, jumps in answers) > 0
 
 
 def test_seed_streams_are_disjoint():

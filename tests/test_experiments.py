@@ -164,6 +164,30 @@ class TestFigures:
         _assert_valid(result)
         assert len(result.rows) == 4
 
+    def test_ablation_rows_are_paired(self, monkeypatch):
+        # a variant's walks must not depend on which variants ran before
+        # it: the jumps each variant takes are the same in either order
+        evaluate = ablations.evaluate_workload
+
+        def jumps_per_variant(variants):
+            sums = {}
+
+            def counting(engine, queries, truths, **kwargs):
+                records = evaluate(engine, queries, truths, **kwargs)
+                key = (engine.label_mode, engine.meeting, engine.bidirectional)
+                sums[key] = sum(record.result.jumps for record in records)
+                return records
+
+            monkeypatch.setattr(ablations, "_VARIANTS", variants)
+            monkeypatch.setattr(ablations, "evaluate_workload", counting)
+            ablations.run(dataset="gplus", scale=0.06, n_queries=6, seed=5)
+            return sums
+
+        forward = jumps_per_variant(ablations._VARIANTS)
+        backward = jumps_per_variant(tuple(reversed(ablations._VARIANTS)))
+        assert len(forward) == 4
+        assert forward == backward
+
 
 class TestReport:
     def test_format_table_alignment(self):

@@ -18,6 +18,7 @@ into the engines:
   returns byte-identical answers on every registered engine.
 """
 
+import inspect
 import json
 import pickle
 import threading
@@ -354,6 +355,14 @@ class TestTracing:
         assert span.attrs["error"] == "RuntimeError"
         assert span.end_ns is not None
 
+    def test_unentered_span_never_opens(self):
+        tracer = Tracer(clock=_FakeClock())
+        tracer.span("a")
+        with tracer.span("b") as inner:
+            pass
+        assert inner.parent_id is None
+        assert [s.name for s in tracer.finished_spans()] == ["b"]
+
     def test_set_attr_while_open(self):
         tracer = Tracer(clock=_FakeClock())
         with tracer.span("work") as span:
@@ -515,7 +524,7 @@ class TestChromeTrace:
 
     def test_open_spans_are_excluded(self):
         tracer = Tracer(clock=_FakeClock())
-        tracer.span("never-closed")  # repro: noqa[OBS001] — testing leaks
+        tracer.span("never-closed")
         assert tracer.chrome_trace()["traceEvents"] == []
 
 
@@ -881,19 +890,19 @@ def _available_cores():
 
 @pytest.mark.slow
 class TestDisabledOverhead:
-    def test_disabled_gate_overhead_within_bar(self, graph):
-        """Two identical disabled-mode sweeps agree within the noise
-        bar, and the gate actually short-circuits (an enabled sweep
-        does strictly more bookkeeping work).
+    def test_disabled_gate_overhead_within_bar(self, graph, monkeypatch):
+        """A closed gate does no observability work, and an enabled
+        sweep is not dramatically faster than a disabled one.
 
         The disabled path *is* the no-op baseline — its only cost over
         pre-observability code is one flag read per query/stage — so
         the regression this guards against is someone making the gate
-        do real work while closed.  Gated on core count: timing
-        comparisons on a contended single-core box are meaningless.
+        do real work while closed.  That work is counted, not timed:
+        with the gate closed, a 200-query sweep must never publish an
+        ``ExecStats`` record or call into a real ``MetricsRegistry`` or
+        ``Tracer``.  The timing comparison is gated on core count:
+        timing on a contended single-core box is meaningless.
         """
-        if _available_cores() < 2:
-            pytest.skip("needs >= 2 cores for stable timing")
         queries = WorkloadGenerator(graph, seed=9).generate(200)
         engine = make_engine("arrival", graph, seed=11)
         for query in queries[:20]:  # warmup: caches, views, tables
@@ -905,16 +914,32 @@ class TestDisabledOverhead:
                 engine.query(query)
             return time.perf_counter() - start  # repro: noqa[TIM001]
 
+        calls = {}
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                key = f"{owner.__name__}.{name}"
+                calls[key] = calls.get(key, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(ExecStats, "publish")
+        for owner in (MetricsRegistry, Tracer):
+            for name, member in list(vars(owner).items()):
+                if inspect.isfunction(member):
+                    spy(owner, name)
+        assert not obs.enabled()
+        sweep()
+        assert calls == {}, f"the closed gate did observability work: {calls}"
+        monkeypatch.undo()
+
+        if _available_cores() < 2:
+            return
         # best-of-3 per variant: immune to one-off scheduler hiccups
-        disabled_a = min(sweep() for _ in range(3))
-        disabled_b = min(sweep() for _ in range(3))
-        overhead = abs(disabled_a - disabled_b) / min(
-            disabled_a, disabled_b
-        )
-        assert overhead < 0.25, (
-            f"disabled-mode sweeps disagree by {overhead:.1%}; "
-            "the closed gate is doing real work"
-        )
+        disabled_s = min(sweep() for _ in range(3))
         obs.enable(tracing=True)
         try:
             enabled_s = min(sweep() for _ in range(3))
@@ -923,4 +948,4 @@ class TestDisabledOverhead:
         # the enabled run records spans + counters for 200 queries; it
         # cannot be dramatically *faster* than the no-op path unless
         # the disabled path is secretly paying enabled-mode costs
-        assert enabled_s > 0.5 * min(disabled_a, disabled_b)
+        assert enabled_s > 0.5 * disabled_s

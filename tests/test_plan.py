@@ -9,6 +9,7 @@ process-stable (sha256 fingerprints, no hash salting).
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +137,26 @@ class TestPlanCache:
         assert warm.cache_hit
         assert warm.artifact is cold.artifact
         assert warm.compiled is cold.compiled
+
+    def test_cached_artifact_is_frozen(self, paper_graph):
+        engine = Arrival(paper_graph, walk_length=4, num_walks=20, seed=1)
+        query = RSPQuery(1, 5, "a* b a*")
+        cache = engine._ensure_plan_cache()
+        plan_query(engine, query, cache)
+        warm = plan_query(engine, query, cache)
+        assert warm.cache_hit
+        for name, value in (
+            ("params", {}),
+            ("compiled", None),
+            ("fingerprint", ""),
+            ("compile_s", 0.0),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(warm.artifact, name, value)
+        # the next query of the template still sees the cached estimates
+        again = plan_query(engine, query, cache)
+        assert again.artifact is warm.artifact
+        assert again.params == warm.params != {}
 
     def test_textual_variants_share_one_artifact(self, paper_graph):
         engine = Arrival(paper_graph, walk_length=4, num_walks=20, seed=1)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import make_engine
+from repro.core.fastpath import LabelSetInterner, build_graph_view
 from repro.core.plan import graph_stamp
 from repro.core.shm import (
     GraphPlane,
@@ -153,6 +154,22 @@ class TestReadOnly:
         finally:
             bundle.close()
             plane.release()
+
+    def test_owner_side_arrays_are_read_only(self, graph):
+        # the exporter ships these arrays; the owner cannot write them
+        # either, before or after export
+        view = build_graph_view(graph, LabelSetInterner())
+        for forward in (True, False):
+            arrays = view.arrays(forward)
+            for array in (
+                arrays.indptr,
+                arrays.indices,
+                arrays.edge_ls,
+                arrays.node_ls,
+            ):
+                assert array.flags.writeable is False
+        with pytest.raises(ValueError):
+            view.arrays(True).indices[0] = 1
 
     def test_shared_graph_mutators_raise(self, plane):
         bundle = attach_bundle(plane.acquire())

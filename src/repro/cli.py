@@ -26,8 +26,9 @@ Usage (also via ``python -m repro.cli``)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.engine import engine_names, make_engine
 from repro.core.enumeration import enumerate_compatible_paths
@@ -97,13 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stats = commands.add_parser(
         "stats",
-        help="summarise a stored graph, or render a metrics snapshot",
+        help="summarise a stored graph, or render saved batch statistics",
     )
     stats.add_argument("graph", nargs="?", default=None)
     stats.add_argument("--top-labels", type=int, default=10)
     stats.add_argument(
         "--metrics", default=None, metavar="FILE",
-        help="render a metrics snapshot exported by "
+        help="render the batch statistics exported by "
         "`repro evaluate --metrics-out FILE` instead of a graph",
     )
 
@@ -198,13 +199,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument(
         "--metrics", action="store_true",
-        help="collect the observability metrics registry during the "
-        "run and print it afterwards",
+        help="print the run's batch statistics (outcome counts, "
+        "throughput, worker set-up, shipped bytes and every per-query "
+        "counter and stage total) afterwards",
     )
     evaluate.add_argument(
         "--metrics-out", default=None, metavar="FILE",
-        help="also write the metrics snapshot as JSON (render it later "
-        "with `repro stats --metrics FILE`)",
+        help="also write the batch statistics as JSON (render them "
+        "later with `repro stats --metrics FILE`)",
     )
 
     verify = commands.add_parser(
@@ -282,15 +284,37 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _render_batch_stats(stats: Dict[str, Any]) -> str:
+    """Table of one run's ``BatchStats`` in ``dataclasses.asdict`` form."""
+
+    def row(name: str, value: Any, indent: str = "") -> str:
+        shown = f"{value:.6g}" if isinstance(value, float) else value
+        return f"{indent}{name:<{24 - len(indent)}} {shown}"
+
+    rows = [
+        row(name, stats[name])
+        for name in (
+            "n_queries", "n_reachable", "n_timeouts", "n_errors",
+            "wall_s", "queries_per_second", "mean_query_s",
+            "worker_init_s", "ship_bytes",
+        )
+    ]
+    rows.append(row("engines", ", ".join(stats["engines"])))
+    rows.append("totals:")
+    rows.extend(
+        row(name, value, "  ")
+        for name, value in stats["totals"].items()
+        if name != "engine"
+    )
+    return "\n".join(rows)
+
+
 def _cmd_stats(args) -> int:
     if args.metrics is not None:
         import json
 
-        from repro.obs import MetricsSnapshot, render_snapshot
-
         with open(args.metrics, encoding="utf-8") as handle:
-            snapshot = MetricsSnapshot.from_dict(json.load(handle))
-        print(render_snapshot(snapshot))
+            print(_render_batch_stats(json.load(handle)))
         return 0
     if args.graph is None:
         print(
@@ -395,9 +419,8 @@ def _cmd_evaluate(args) -> int:
 
     from repro import obs
 
-    observing = bool(args.trace or args.metrics or args.metrics_out)
-    if observing:
-        obs.enable(tracing=bool(args.trace))
+    if args.trace:
+        obs.enable()
 
     graph = _load_graph(args.graph)
     queries = load_workload(args.workload)
@@ -476,32 +499,29 @@ def _cmd_evaluate(args) -> int:
     if oracle.undecided:
         print(f"warning: {oracle.undecided} queries undecided within the "
               "oracle budget")
-    if observing:
+    if args.trace:
+        obs.disable()
+        tracer = obs.current_tracer()
+        assert tracer is not None  # enable() made one
+        if args.trace.endswith(".json"):
+            n_spans = tracer.export_chrome_trace(args.trace)
+            print(f"trace: {n_spans} span(s) written to {args.trace} "
+                  "(Chrome trace_event format)")
+        else:
+            n_spans = tracer.export_jsonl(args.trace)
+            print(f"trace: {n_spans} span(s) written to {args.trace}")
+        obs.reset()
+    batch_stats = dataclasses.asdict(report.stats)
+    if args.metrics:
+        print()
+        print(_render_batch_stats(batch_stats))
+    if args.metrics_out:
         import json
 
-        obs.disable()
-        if args.trace:
-            tracer = obs.current_tracer()
-            assert tracer is not None  # enable(tracing=True) made one
-            if args.trace.endswith(".json"):
-                n_spans = tracer.export_chrome_trace(args.trace)
-                print(f"trace: {n_spans} span(s) written to {args.trace} "
-                      "(Chrome trace_event format)")
-            else:
-                n_spans = tracer.export_jsonl(args.trace)
-                print(f"trace: {n_spans} span(s) written to {args.trace}")
-        snapshot = obs.registry().snapshot()
-        if args.metrics:
-            print()
-            print(obs.render_snapshot(snapshot))
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                json.dump(
-                    snapshot.as_dict(), handle, indent=1, sort_keys=True
-                )
-                handle.write("\n")
-            print(f"metrics snapshot written to {args.metrics_out}")
-        obs.reset()
+        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+            json.dump(batch_stats, handle, indent=1)
+            handle.write("\n")
+        print(f"batch statistics written to {args.metrics_out}")
     return 0
 
 

@@ -42,7 +42,6 @@ from typing import (
     Tuple,
 )
 
-from repro import obs
 from repro.core.engine import EngineBase
 from repro.core.fastpath import GraphView, LabelSetInterner, build_graph_view
 from repro.core.plan import Plan, PlanCache, fingerprint_regex
@@ -373,10 +372,6 @@ class Arrival(EngineBase):
         backward.opposite = forward
 
         joined: Optional[List[int]] = None
-        # fetched once per query: None while observability is disabled,
-        # so the walk loop pays one `is not None` test per walk
-        walk_sampler = obs.walk_sampler()
-        forward_jumps_seen = backward_jumps_seen = 0
         # the forward side dies instantly when the source's own symbol
         # cannot begin any accepted word; that is a certain negative
         # (probed in exact mode so the answer does not depend on label
@@ -395,28 +390,14 @@ class Arrival(EngineBase):
                 < num_walks
             ):
                 joined = forward.step()
-                if walk_sampler is not None:
-                    walk_sampler.record_walk(
-                        forward.jumps - forward_jumps_seen
-                    )
-                    forward_jumps_seen = forward.jumps
                 if joined is not None:
                     break
                 if self.bidirectional:
                     joined = backward.step()
-                    if walk_sampler is not None:
-                        walk_sampler.record_walk(
-                            backward.jumps - backward_jumps_seen
-                        )
-                        backward_jumps_seen = backward.jumps
                     if joined is not None:
                         break
 
         stats.walk_s = time.perf_counter() - stage_start
-        if walk_sampler is not None:
-            walk_sampler.record_query(
-                forward.jumps + backward.jumps, stats.walk_s
-            )
         self._record_endpoints(forward, backward)
 
         transition_hits, transition_misses = _table_totals(tables)

@@ -405,8 +405,6 @@ class EngineBase:
         stats.jumps = result.jumps
         if check != "off":
             self._oracle_check(plan.query, result, stats, check)
-        if obs.enabled():
-            stats.publish(obs.metrics())
         return result
 
     def _ensure_plan_cache(self) -> PlanCache:

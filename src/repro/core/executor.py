@@ -229,13 +229,9 @@ class _ShmFactory:
 def _process_init(
     factory: Callable[[], Engine],
     seed: Optional[int],
-    obs_config: Optional[obs.ObsConfig] = None,
 ) -> None:
     global _WORKER_ENGINE, _WORKER_SEED, _WORKER_INIT_S
     start = time.perf_counter()
-    # replicate the parent's observability gate before building the
-    # engine, so index builds / parameter estimation are captured too
-    obs.configure(obs_config)
     engine = factory()
     if seed is not None:
         engine.reseed(setup_stream(seed))
@@ -259,8 +255,6 @@ def _query_kwargs(check: str) -> Dict[str, str]:
     return {} if check == "off" else {"check": check}
 
 
-#: result.info key carrying a worker's per-query metrics delta home
-_OBS_DELTA_KEY = "obs_delta"
 #: result.info key carrying a worker's one-time init cost home
 _INIT_S_KEY = "worker_init_s"
 
@@ -269,18 +263,7 @@ def _process_run(index: int, query: RSPQuery, check: str = "off") -> QueryResult
     assert _WORKER_ENGINE is not None, "pool initializer did not run"
     if _WORKER_SEED is not None:
         _WORKER_ENGINE.reseed(query_stream(_WORKER_SEED, index))
-    if not obs.enabled():
-        result = _WORKER_ENGINE.query(query, **_query_kwargs(check))
-    else:
-        # bracket the query in registry snapshots: the delta is exactly
-        # the increments this query caused in this worker, so merging
-        # every delta in the parent reproduces serial-mode counters
-        # bit-for-bit
-        before = obs.registry().snapshot()
-        result = _WORKER_ENGINE.query(query, **_query_kwargs(check))
-        delta = obs.registry().snapshot().delta(before)
-        if not delta.empty:
-            result.info[_OBS_DELTA_KEY] = delta
+    result = _WORKER_ENGINE.query(query, **_query_kwargs(check))
     init_s = _take_worker_init_s()
     if init_s:
         result.info[_INIT_S_KEY] = init_s
@@ -293,7 +276,6 @@ class _ChunkResult:
 
     start: int
     results: List[QueryResult]
-    obs_delta: Optional[Any] = None
     worker_init_s: float = 0.0
 
 
@@ -315,7 +297,6 @@ def _chunk_run(
     """
     assert _WORKER_ENGINE is not None, "pool initializer did not run"
     engine = _WORKER_ENGINE
-    before = obs.registry().snapshot() if obs.enabled() else None
     results: List[QueryResult] = []
     for offset, query in enumerate(queries):
         if _WORKER_SEED is not None:
@@ -326,26 +307,11 @@ def _chunk_run(
             if fail_fast:
                 raise
             results.append(ErrorResult.from_exception(exc))
-    obs_delta = None
-    if before is not None:
-        delta = obs.registry().snapshot().delta(before)
-        if not delta.empty:
-            obs_delta = delta
     return _ChunkResult(
         start=start,
         results=results,
-        obs_delta=obs_delta,
         worker_init_s=_take_worker_init_s(),
     )
-
-
-def _absorb_worker_metrics(result: QueryResult) -> QueryResult:
-    """Merge a process worker's metrics delta into this process's
-    registry (no-op for thread workers, which share it directly)."""
-    delta = result.info.pop(_OBS_DELTA_KEY, None)
-    if delta is not None:
-        obs.registry().merge(delta)
-    return result
 
 
 @dataclass
@@ -422,7 +388,6 @@ class WorkerPool:
         self.seed = seed
         self.workers = workers
         self.shm_mode = shm_mode
-        self.obs_config = obs.active_config()
         self.plane: Optional[GraphPlane] = None
         self.graph: Optional[LabeledGraph] = None
         self.stamp: Optional[GraphStamp] = None
@@ -460,7 +425,6 @@ class WorkerPool:
         self._initargs: Tuple[Any, ...] = (
             ship_factory,
             seed,
-            self.obs_config,
         )
         self.pool = ProcessPoolExecutor(
             max_workers=workers,
@@ -516,9 +480,9 @@ class WorkerPool:
 
         Identity of the factory object (not equality: a new partial
         over a new graph must rebuild), same seed/workers/shm mode,
-        unchanged observability config, and — the staleness gate — an
-        unchanged ``graph_stamp``: any mutation bumps the version and
-        forces a fresh plane and fresh worker engines.
+        and — the staleness gate — an unchanged ``graph_stamp``: any
+        mutation bumps the version and forces a fresh plane and fresh
+        worker engines.
         """
         if self._closed:
             return False
@@ -528,8 +492,6 @@ class WorkerPool:
             or workers != self.workers
             or shm_mode != self.shm_mode
         ):
-            return False
-        if self.obs_config != obs.active_config():
             return False
         if self.graph is not None and graph_stamp(self.graph) != self.stamp:
             return False
@@ -728,26 +690,6 @@ class BatchExecutor:
         stats.ship_bytes = self._run_ship_bytes
         stats.totals.worker_init_s = self._run_worker_init_s
         stats.totals.ship_bytes = self._run_ship_bytes
-        if obs.enabled():
-            registry = obs.metrics()
-            registry.counter("batch.runs").inc()
-            registry.counter("batch.queries").inc(stats.n_queries)
-            if stats.n_timeouts:
-                registry.counter("batch.timeouts").inc(stats.n_timeouts)
-            if stats.n_errors:
-                registry.counter("batch.errors").inc(stats.n_errors)
-            registry.histogram("batch.wall_s").observe(wall_s)
-            registry.gauge("batch.queries_per_s").set(
-                stats.queries_per_second
-            )
-            if stats.worker_init_s:
-                registry.histogram("batch.worker_init_s").observe(
-                    stats.worker_init_s
-                )
-            if stats.ship_bytes:
-                registry.gauge("batch.ship_bytes").set(
-                    float(stats.ship_bytes)
-                )
         return BatchReport(results=results, stats=stats)
 
     # ------------------------------------------------------------------
@@ -864,7 +806,7 @@ class BatchExecutor:
                         raise exc
                     results[index] = ErrorResult.from_exception(exc)
                 else:
-                    result = _absorb_worker_metrics(future.result())
+                    result = future.result()
                     init_s = result.info.pop(_INIT_S_KEY, None)
                     if init_s:
                         self._run_worker_init_s += float(init_s)
@@ -973,9 +915,6 @@ class BatchExecutor:
         max_chunks = max(1, self.max_in_flight // size)
         pending: Dict["Future[_ChunkResult]", int] = {}
         next_chunk = 0
-        if obs.enabled():
-            obs.metrics().gauge("batch.chunk_size").set(float(size))
-            obs.metrics().counter("batch.chunks").inc(len(starts))
         while next_chunk < len(starts) or pending:
             while next_chunk < len(starts) and len(pending) < max_chunks:
                 start = starts[next_chunk]
@@ -1002,8 +941,6 @@ class BatchExecutor:
                         results[index] = ErrorResult.from_exception(exc)
                     continue
                 chunk_result = future.result()
-                if chunk_result.obs_delta is not None:
-                    obs.registry().merge(chunk_result.obs_delta)
                 self._run_worker_init_s += chunk_result.worker_init_s
                 for offset, result in enumerate(chunk_result.results):
                     results[start + offset] = result

@@ -356,7 +356,6 @@ class PlanCache:
         """The memoised compiled bundle, with this call's compile cost."""
         cached = self.compiled.get(fingerprint)
         if cached is not None:
-            obs.metrics().counter("plan.compiled_hits").inc()
             return cached, 0.0
         start = time.perf_counter()
         with obs.span("plan.compile", fingerprint=fingerprint[:12]):
@@ -364,9 +363,6 @@ class PlanCache:
         elapsed = time.perf_counter() - start
         self.compiles += 1
         self.compile_s += elapsed
-        registry = obs.metrics()
-        registry.counter("plan.compiles").inc()
-        registry.histogram("plan.compile_s").observe(elapsed)
         self.compiled.put(fingerprint, built)
         return built, elapsed
 
@@ -503,9 +499,7 @@ def plan_query(
     evictions_before = cache.plans.evictions
     artifact_hit = cache.plans.get(key)
     if artifact_hit is not None:
-        obs.metrics().counter("plan.cache_hits").inc()
         return Plan(query, artifact_hit, cache_hit=True)
-    obs.metrics().counter("plan.cache_misses").inc()
     compiled, compile_s = cache.compiled_for(fingerprint, build_compiled)
     params, params_s = _engine_params(engine, query, compiled)
     artifact = PlanArtifact(
@@ -517,8 +511,6 @@ def plan_query(
     )
     cache.plans.put(key, artifact)
     evicted = cache.plans.evictions - evictions_before
-    if evicted:
-        obs.metrics().counter("plan.cache_evictions").inc(evicted)
     return Plan(
         query,
         artifact,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro import obs
 from repro.baselines.bbfs import BBFSEngine
 from repro.baselines.landmark import LandmarkIndex
 from repro.core.arrival import Arrival
@@ -185,10 +184,8 @@ class AutoEngine(EngineBase):
                 self._bbfs = BBFSEngine(self.graph, plan_cache=self.plan_cache)
             result = self._bbfs.query(query)
             result.info["routed_to"] = "BBFS"
-            obs.metrics().counter("router.routes.BBFS").inc()
             return result
         routed = self._route_plan(plan)
-        obs.metrics().counter("router.routes." + routed).inc()
         if routed == "LI":
             landmark = self._landmark_index()
             assert landmark is not None  # routing just built and checked it

@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import time
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -299,7 +298,6 @@ class GraphPlane:
         is built here (one O(n + m) pass, paid once instead of once per
         worker).
         """
-        start = time.perf_counter()
         stamp = graph_stamp(graph)
         view: Optional[GraphView] = None
         interner: Optional[LabelSetInterner] = None
@@ -325,15 +323,7 @@ class GraphPlane:
         except BaseException:
             _unlink_segments(os.getpid(), segments)
             raise
-        plane = cls(manifest, segments)
-        if obs.enabled():
-            registry = obs.metrics()
-            registry.counter("shm.exports").inc()
-            registry.gauge("shm.plane_bytes").set(float(manifest.nbytes))
-            registry.histogram("shm.export_s").observe(
-                time.perf_counter() - start
-            )
-        return plane
+        return cls(manifest, segments)
 
     @classmethod
     def _export_segments(
@@ -490,8 +480,9 @@ class SharedGraph(LabeledGraph):
     access (``copy()``, ad-hoc introspection).  All mutators raise
     :class:`~repro.errors.GraphError` — the plane is a snapshot, and a
     write through the shared buffers would corrupt every sibling
-    worker (lint rule SHM001 enforces the read-only discipline
-    statically; numpy enforces it at runtime via ``writeable=False``).
+    worker (numpy refuses it at runtime: every attached view is
+    ``writeable=False``, pinned by
+    ``tests/test_shm.py::TestReadOnly::test_attached_views_are_read_only``).
     """
 
     _frozen = True
@@ -626,7 +617,6 @@ class WorkerBundle:
     """
 
     def __init__(self, manifest: GraphPlaneManifest) -> None:
-        start = time.perf_counter()
         with obs.span("shm.attach", segments=len(manifest.segments)):
             plane = AttachedPlane(manifest)
             self.plane = plane
@@ -657,11 +647,6 @@ class WorkerBundle:
                     "sym_ids": plane.arrays[entry["sym_role"]],
                     "dense": plane.arrays[entry["dense_role"]],
                 }
-        self.attach_s = time.perf_counter() - start
-        if obs.enabled():
-            registry = obs.metrics()
-            registry.counter("shm.attaches").inc()
-            registry.histogram("shm.attach_s").observe(self.attach_s)
 
     def close(self) -> None:
         """Drop this worker's mappings (the owner unlinks)."""

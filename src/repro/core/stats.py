@@ -19,21 +19,18 @@ and batches, so the executor's pipeline replaces it with two records:
 
 Engine-*specific* extras (``routed_to``, ``via_landmark``,
 ``miss_probability_bound``, ...) stay in ``QueryResult.info``; anything
-a batch consumer aggregates lives here, typed.
+a batch consumer aggregates lives here, typed.  These two records are
+the only accounting path: :mod:`repro.obs` records spans, not counts,
+and process workers send each query's record home inside its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.core.result import QueryResult
-    from repro.obs.metrics import (
-        MetricsRegistry,
-        MetricsSnapshot,
-        NullRegistry,
-    )
 
 #: integer counter fields folded by summation in :meth:`ExecStats.add`
 _COUNTER_FIELDS = (
@@ -133,55 +130,6 @@ class ExecStats:
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict form (JSON-friendly, used by benchmark reports)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    # -- observability bridge ------------------------------------------
-    # The dataclass stays the canonical per-query record (its field
-    # names and types are public: BENCH_*.json readers and the batch
-    # reports parse them).  ``publish`` mirrors a finished record into
-    # the metrics registry so cross-query aggregation ("hit rate over
-    # the last N batches") reads from one place; ``from_snapshot`` is
-    # the inverse view for reporting tools.
-    def publish(
-        self, registry: "Union[MetricsRegistry, NullRegistry]"
-    ) -> None:
-        """Mirror this record into ``registry``.
-
-        Counter fields land in counters named ``query.<field>``; stage
-        wall-times are observed into histograms named ``stage.<field>``
-        (zero stages are skipped — an engine that never ran a stage
-        should not distort its distribution).  Also bumps
-        ``engine.queries`` and ``engine.queries.<name>``.
-        """
-        for name in _COUNTER_FIELDS:
-            value = getattr(self, name)
-            if value:
-                registry.counter("query." + name).inc(value)
-        for name in _STAGE_FIELDS:
-            seconds = getattr(self, name)
-            if seconds > 0.0:
-                registry.histogram("stage." + name).observe(seconds)
-        registry.counter("engine.queries").inc()
-        if self.engine:
-            registry.counter("engine.queries." + self.engine).inc()
-
-    @classmethod
-    def from_snapshot(cls, snapshot: "MetricsSnapshot") -> "ExecStats":
-        """Fold a registry snapshot back into one aggregate record.
-
-        The inverse of :meth:`publish` over any number of published
-        queries: counters read back exactly; stage fields carry each
-        histogram's *total* seconds (sums are preserved, distributions
-        live in the snapshot itself).
-        """
-        stats = cls(engine="registry")
-        for name in _COUNTER_FIELDS:
-            stats_value = snapshot.counters.get("query." + name, 0)
-            setattr(stats, name, int(stats_value))
-        for name in _STAGE_FIELDS:
-            hist = snapshot.histograms.get("stage." + name)
-            if hist is not None:
-                setattr(stats, name, float(hist.total))
-        return stats
 
 
 @dataclass

@@ -44,7 +44,6 @@ _TIMING_MODULES = (
     "repro.core.engine",
     "repro.core.executor",
     "repro.core.plan",
-    "repro.core.shm",
     "repro.core.stats",
     "repro.experiments",
     "repro.obs",

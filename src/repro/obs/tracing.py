@@ -27,10 +27,12 @@ cleanly across runs.  Two exporters:
   format (one ``"ph": "X"`` complete event per span), loadable in
   ``chrome://tracing`` / Perfetto for a flame view.
 
-The spans of *this* process only: the batch executor's process backend
-merges worker **metrics** home, but worker spans stay in the worker
-(documented in the architecture notes; per-query stage timings still
-arrive via ``ExecStats``).
+The spans of *this* process only: the batch executor's process workers
+keep their spans (documented in the architecture notes); per-query
+stage timings still arrive home in each result's ``ExecStats``.
+
+:func:`profiled` wraps a whole function in a span named after it (index
+builds, the graph-view constructor).
 
 :class:`NullTracer` is the disabled mode: its :meth:`~NullTracer.span`
 hands back one shared re-entrant no-op context manager, so a disabled
@@ -40,11 +42,12 @@ beyond the argument tuple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, TypeVar, cast
 
 __all__ = [
     "NULL_SPAN",
@@ -52,8 +55,11 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
+    "profiled",
     "read_jsonl",
 ]
+
+_F = TypeVar("_F", bound=Callable[..., Any])
 
 
 class Span:
@@ -274,3 +280,28 @@ def read_jsonl(path: str) -> Iterator[Dict[str, Any]]:
             line = line.strip()
             if line:
                 yield json.loads(line)
+
+
+def profiled(name: Optional[str] = None) -> Callable[[_F], _F]:
+    """Decorator: a span named ``name`` around every call.
+
+    ``name`` defaults to the function's qualified name.  The gate is
+    read per call, so decorating at import time costs one flag read
+    per call until the gate opens.
+    """
+
+    def wrap(func: _F) -> _F:
+        from repro.obs import state  # the gate imports this module
+
+        label = name or f"{func.__module__}.{func.__qualname__}"
+
+        @functools.wraps(func)
+        def inner(*args: Any, **kwargs: Any) -> Any:
+            if not state.enabled():
+                return func(*args, **kwargs)
+            with state.tracer().span(label):
+                return func(*args, **kwargs)
+
+        return cast(_F, inner)
+
+    return wrap

@@ -37,9 +37,6 @@ def spawn(rng: np.random.Generator, n: int) -> Sequence[np.random.Generator]:
     seed_seq = getattr(rng.bit_generator, "seed_seq", None)
     if seed_seq is None:  # public alias only exists on newer numpy
         seed_seq = getattr(rng.bit_generator, "_seed_seq")
-    from repro import obs  # function-local: rng is imported everywhere
-
-    obs.metrics().counter("rng.spawned_streams").inc(n)
     return [np.random.default_rng(s) for s in seed_seq.spawn(n)]
 
 

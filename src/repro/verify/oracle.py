@@ -315,14 +315,6 @@ class DifferentialOracle:
                     report.adjudications.append(
                         self._adjudicate(index, query, results)
                     )
-        if obs.enabled():
-            registry = obs.metrics()
-            registry.counter("oracle.queries").inc(len(queries))
-            divergences = sum(
-                len(entry.divergences) for entry in report.adjudications
-            )
-            if divergences:
-                registry.counter("oracle.divergences").inc(divergences)
         return report
 
     def check(

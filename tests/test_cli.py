@@ -135,6 +135,33 @@ class TestWorkloadAndEvaluate:
         assert "queries: 6" in out
         assert "mean time" in out
 
+    def test_metrics_out_round_trips_through_stats(self, tmp_path, capsys):
+        """`evaluate --metrics-out` writes the run's BatchStats as JSON
+        and `stats --metrics` renders that file."""
+        import json
+
+        graph_path = str(tmp_path / "g.json")
+        workload_path = str(tmp_path / "w.json")
+        metrics_path = str(tmp_path / "m.json")
+        main(["generate", "gplus", "--scale", "0.05", "--seed", "3",
+              "--out", graph_path])
+        main(["workload", graph_path, "--out", workload_path, "-n", "6",
+              "--positive-bias", "0.5", "--seed", "2"])
+        capsys.readouterr()
+        assert main(["evaluate", graph_path, workload_path,
+                     "--baseline", "none", "--metrics",
+                     "--metrics-out", metrics_path,
+                     "--trace", str(tmp_path / "t.jsonl")]) == 0
+        out = capsys.readouterr().out
+        assert "totals:" in out
+        assert "span(s) written" in out
+        with open(metrics_path, encoding="utf-8") as handle:
+            stats = json.load(handle)
+        assert stats["n_queries"] == 6
+        assert stats["totals"]["jumps"] > 0
+        assert main(["stats", "--metrics", metrics_path]) == 0
+        assert "jumps" in capsys.readouterr().out
+
     def test_workload_type_restriction(self, tmp_path):
         graph_path = str(tmp_path / "g.json")
         main(["generate", "dblp", "--scale", "0.05", "--out", graph_path])

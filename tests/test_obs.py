@@ -1,28 +1,25 @@
-"""Observability layer — metrics registry, tracing, profiling hooks.
+"""Observability layer — tracing, the gate, and the accounting records.
 
-Four layers of evidence that :mod:`repro.obs` is safe to leave wired
+Three layers of evidence that :mod:`repro.obs` is safe to leave wired
 into the engines:
 
-* unit coverage of the fixed log-scale histogram buckets, the
-  thread-safe registry, and snapshot merge/delta algebra (merging the
-  per-query deltas shipped home by the process backend must reproduce
-  serial-mode counters *exactly* — integer sums, not approximations);
 * tracing semantics: LIFO nesting, per-thread stacks, error capture,
   JSON-lines round-trips (Hypothesis-generated span forests included)
   and a golden Chrome ``trace_event`` fixture under an injected clock;
-* the gate: everything off by default, no-op singletons while off,
-  enable/disable/reset lifecycle, picklable config replication;
-* integration: engine queries publish ``query.*`` counters that agree
-  with their ``ExecStats`` records, counters are identical across the
-  serial / thread / process executor backends, and a traced run
-  returns byte-identical answers on every registered engine.
+* the gate: off by default, one shared no-op span while off,
+  enable/disable/reset lifecycle, and a warm process pool that
+  survives the gate opening;
+* integration: ``ExecStats`` counters are identical across the serial
+  / thread / process executor backends, and a traced run returns
+  byte-identical answers on every registered engine and the same
+  differential-oracle verdicts.
 """
 
 import inspect
 import json
-import pickle
 import threading
 import time  # repro: noqa[TIM001] — timing the timing layer
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -31,17 +28,9 @@ from hypothesis import strategies as st
 from repro import WorkloadGenerator, obs
 from repro.core.engine import engine_names, make_engine
 from repro.core.executor import BatchExecutor
-from repro.core.stats import ExecStats
+from repro.core.stats import _COUNTER_FIELDS, ExecStats
 from repro.datasets import dblp_like
 from repro.errors import ReproError
-from repro.obs.metrics import (
-    BUCKET_EDGES,
-    N_BUCKETS,
-    MetricsRegistry,
-    MetricsSnapshot,
-    NULL_REGISTRY,
-    bucket_index,
-)
 from repro.obs.tracing import NULL_SPAN, NullTracer, Tracer, read_jsonl
 
 SEED = 23
@@ -78,226 +67,6 @@ def small_graph():
 @pytest.fixture(scope="module")
 def small_workload(small_graph):
     return WorkloadGenerator(small_graph, seed=3).generate(6)
-
-
-# ---------------------------------------------------------------------------
-# histogram buckets
-# ---------------------------------------------------------------------------
-class TestBucketEdges:
-    def test_edges_strictly_increasing(self):
-        assert all(
-            a < b for a, b in zip(BUCKET_EDGES, BUCKET_EDGES[1:])
-        )
-
-    def test_unit_value_lands_on_the_unit_edge(self):
-        assert BUCKET_EDGES[60] == 1.0
-        assert bucket_index(1.0) == 61  # first bucket at or above 1.0
-
-    def test_bucket_count_matches_edges(self):
-        # bucket 0 is underflow/zero, bucket N-1 is overflow
-        assert N_BUCKETS == len(BUCKET_EDGES) + 1
-
-    def test_zero_and_negative_underflow(self):
-        assert bucket_index(0.0) == 0
-        assert bucket_index(-5.0) == 0
-
-    def test_overflow_saturates(self):
-        assert bucket_index(float(2**40)) == N_BUCKETS - 1
-
-    def test_edges_are_half_powers_of_two(self):
-        assert BUCKET_EDGES[62] == pytest.approx(2.0)
-        assert BUCKET_EDGES[58] == pytest.approx(0.5)
-
-    @given(st.floats(min_value=1e-12, max_value=1e12))
-    def test_bucket_brackets_its_value(self, value):
-        index = bucket_index(value)
-        if 0 < index < N_BUCKETS - 1:
-            assert BUCKET_EDGES[index - 1] <= value
-            assert value < BUCKET_EDGES[index]
-
-    @given(
-        st.floats(min_value=1e-12, max_value=1e12),
-        st.floats(min_value=1e-12, max_value=1e12),
-    )
-    def test_bucket_index_is_monotone(self, a, b):
-        lo, hi = sorted((a, b))
-        assert bucket_index(lo) <= bucket_index(hi)
-
-
-class TestHistogram:
-    def test_observe_tracks_count_total_min_max(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h")
-        for value in (0.5, 2.0, 8.0):
-            hist.observe(value)
-        snap = hist.snapshot()
-        assert snap.count == 3
-        assert snap.total == pytest.approx(10.5)
-        assert snap.minimum == 0.5
-        assert snap.maximum == 8.0
-
-    def test_quantiles_bracketed_by_min_max(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h")
-        for value in range(1, 101):
-            hist.observe(float(value))
-        snap = hist.snapshot()
-        p50 = snap.quantile(0.5)
-        p99 = snap.quantile(0.99)
-        assert p50 is not None and p99 is not None
-        assert p50 <= p99
-        # bucket upper bounds: within one half-power-of-two of truth
-        assert 50.0 <= p50 <= 64.0 + 1e-9
-        assert snap.quantile(0.0) <= snap.quantile(1.0)
-
-    def test_mean(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h")
-        hist.observe(2.0)
-        hist.observe(4.0)
-        assert hist.snapshot().mean == pytest.approx(3.0)
-
-    def test_empty_histogram_has_no_quantile(self):
-        snap = MetricsRegistry().histogram("h").snapshot()
-        assert snap.count == 0
-        assert snap.quantile(0.5) is None
-        assert snap.mean is None
-
-
-# ---------------------------------------------------------------------------
-# counters, gauges, registry
-# ---------------------------------------------------------------------------
-class TestRegistry:
-    def test_counter_increments(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().counter("c").inc(-1)
-
-    def test_gauge_holds_last_value(self):
-        gauge = MetricsRegistry().gauge("g")
-        gauge.set(2.5)
-        gauge.set(7.25)
-        assert gauge.value == 7.25
-
-    def test_get_or_create_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.histogram("h") is registry.histogram("h")
-        assert registry.gauge("g") is registry.gauge("g")
-
-    def test_names_sorted_across_kinds(self):
-        registry = MetricsRegistry()
-        registry.counter("b")
-        registry.gauge("a")
-        registry.histogram("c")
-        assert registry.names() == ["a", "b", "c"]
-
-    def test_clear_drops_values(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        registry.clear()
-        assert registry.snapshot().empty
-
-    def test_threaded_increments_are_exact(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c")
-        hist = registry.histogram("h")
-
-        def work():
-            for _ in range(1000):
-                counter.inc()
-                hist.observe(1.0)
-
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter.value == 8000
-        assert hist.snapshot().count == 8000
-
-
-# ---------------------------------------------------------------------------
-# snapshot algebra
-# ---------------------------------------------------------------------------
-def _registry_with(counter=0, hist=()):
-    registry = MetricsRegistry()
-    if counter:
-        registry.counter("c").inc(counter)
-    for value in hist:
-        registry.histogram("h").observe(value)
-    return registry
-
-
-class TestSnapshots:
-    def test_merge_sums_counters(self):
-        a = _registry_with(counter=3).snapshot()
-        b = _registry_with(counter=4).snapshot()
-        a.merge(b)
-        assert a.counters["c"] == 7
-
-    def test_merge_folds_histograms_exactly(self):
-        a = _registry_with(hist=(1.0, 2.0)).snapshot()
-        b = _registry_with(hist=(4.0,)).snapshot()
-        a.merge(b)
-        merged = a.histograms["h"]
-        assert merged.count == 3
-        assert merged.total == pytest.approx(7.0)
-        assert merged.minimum == 1.0
-        assert merged.maximum == 4.0
-
-    def test_delta_then_merge_round_trips(self):
-        registry = _registry_with(counter=3, hist=(1.0,))
-        before = registry.snapshot()
-        registry.counter("c").inc(5)
-        registry.histogram("h").observe(2.0)
-        delta = registry.snapshot().delta(before)
-        assert delta.counters["c"] == 5
-        assert delta.histograms["h"].count == 1
-        other = MetricsRegistry()
-        other.merge(before)
-        other.merge(delta)
-        after = registry.snapshot()
-        assert other.snapshot().counters == after.counters
-        assert (
-            other.snapshot().histograms["h"].buckets
-            == after.histograms["h"].buckets
-        )
-
-    def test_empty_flag(self):
-        assert MetricsRegistry().snapshot().empty
-        assert not _registry_with(counter=1).snapshot().empty
-
-    def test_delta_of_unchanged_registry_is_empty(self):
-        registry = _registry_with(counter=2, hist=(1.0,))
-        before = registry.snapshot()
-        assert registry.snapshot().delta(before).empty
-
-    def test_json_round_trip(self):
-        snap = _registry_with(counter=3, hist=(0.5, 64.0)).snapshot()
-        payload = json.loads(json.dumps(snap.as_dict()))
-        back = MetricsSnapshot.from_dict(payload)
-        assert back.counters == snap.counters
-        assert back.histograms["h"].count == 2
-        assert back.histograms["h"].buckets == snap.histograms["h"].buckets
-
-    def test_pickle_round_trip(self):
-        snap = _registry_with(counter=3, hist=(0.5,)).snapshot()
-        back = pickle.loads(pickle.dumps(snap))
-        assert back.counters == snap.counters
-        assert back.histograms["h"].total == snap.histograms["h"].total
-
-    def test_registry_merge_feeds_live_instruments(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(1)
-        registry.merge(_registry_with(counter=9).snapshot())
-        assert registry.counter("c").value == 10
 
 
 # ---------------------------------------------------------------------------
@@ -531,68 +300,76 @@ class TestChromeTrace:
 # ---------------------------------------------------------------------------
 # the gate
 # ---------------------------------------------------------------------------
+def _span_names():
+    return [span.name for span in obs.current_tracer().finished_spans()]
+
+
 class TestGate:
     def test_disabled_by_default(self):
         assert not obs.enabled()
-        assert not obs.tracing_enabled()
-        assert obs.metrics() is NULL_REGISTRY
         assert isinstance(obs.tracer(), NullTracer)
+        assert obs.current_tracer() is None
 
     def test_disabled_mode_hands_out_shared_singletons(self):
-        counter = obs.metrics().counter("c")
-        counter.inc(10)
-        assert counter is obs.metrics().counter("other")
-        assert obs.registry().snapshot().empty
         assert obs.span("x") is NULL_SPAN
+        assert obs.span("y", attr=1) is NULL_SPAN
+        with obs.span("x"):
+            pass
+        assert obs.current_tracer() is None
 
-    def test_enable_collects_metrics(self):
-        obs.enable()
-        obs.metrics().counter("c").inc(2)
-        assert obs.registry().snapshot().counters == {"c": 2}
-        assert not obs.tracing_enabled()
+    def test_enable_takes_no_tracing_switch(self):
+        with pytest.raises(TypeError):
+            obs.enable(tracing=True)
+        assert not obs.enabled()
 
     def test_enable_with_tracing(self):
-        obs.enable(tracing=True)
+        obs.enable()
         with obs.span("work"):
             pass
-        tracer = obs.current_tracer()
-        assert tracer is not None
-        assert [span.name for span in tracer.finished_spans()] == ["work"]
+        assert _span_names() == ["work"]
 
     def test_enable_is_idempotent(self):
         obs.enable()
-        obs.metrics().counter("c").inc()
+        with obs.span("work"):
+            pass
         obs.enable()
-        assert obs.registry().snapshot().counters == {"c": 1}
+        assert _span_names() == ["work"]
 
     def test_disable_keeps_recorded_data_readable(self):
         obs.enable()
-        obs.metrics().counter("c").inc(3)
+        with obs.span("work"):
+            pass
         obs.disable()
-        assert obs.metrics() is NULL_REGISTRY
-        assert obs.registry().snapshot().counters == {"c": 3}
+        assert isinstance(obs.tracer(), NullTracer)
+        assert _span_names() == ["work"]
 
     def test_reset_drops_everything(self):
-        obs.enable(tracing=True)
-        obs.metrics().counter("c").inc()
+        obs.enable()
         with obs.span("work"):
             pass
         obs.reset()
         assert not obs.enabled()
-        assert obs.registry().snapshot().empty
         assert obs.current_tracer() is None
 
-    def test_config_is_picklable_and_replicates(self):
-        obs.enable(tracing=True)
-        config = pickle.loads(pickle.dumps(obs.active_config()))
-        obs.reset()
-        obs.configure(config)
-        assert obs.enabled()
-        assert obs.tracing_enabled()
-
-    def test_configure_none_keeps_gate_closed(self):
-        obs.configure(None)
-        assert not obs.enabled()
+    def test_opening_the_gate_keeps_a_warm_pool(self, graph, workload):
+        """The gate is not part of a pool's identity: a warm pool
+        serves the next batch after ``enable()`` without rebuilding."""
+        executor = BatchExecutor(
+            factory=partial(make_engine, "arrival", graph, seed=11),
+            backend="process",
+            workers=1,
+            seed=SEED,
+            keep_pool=True,
+        )
+        with executor:
+            cold = executor.run(workload)
+            pool = executor._pool
+            obs.enable()
+            warm = executor.run(workload)
+            assert executor._pool is pool
+        assert cold.stats.worker_init_s > 0
+        assert warm.stats.worker_init_s == 0
+        assert warm.answers() == cold.answers()
 
 
 # ---------------------------------------------------------------------------
@@ -609,75 +386,25 @@ class TestProfiled:
 
         assert work(3) == 6
         assert calls == [3]
-        assert obs.registry().snapshot().empty
+        assert obs.current_tracer() is None
 
     def test_enabled_decorator_observes_duration(self):
         @obs.profiled("unit.work")
         def work():
             return 1
 
-        obs.enable(tracing=True)
-        work()
-        work()
-        snap = obs.registry().snapshot()
-        assert snap.histograms["profile.unit.work_s"].count == 2
-        names = [s.name for s in obs.current_tracer().finished_spans()]
-        assert names == ["unit.work", "unit.work"]
-
-    def test_samplers_absent_while_disabled(self):
-        assert obs.walk_sampler() is None
-
-    def test_walk_sampler_records(self):
         obs.enable()
-        sampler = obs.walk_sampler()
-        sampler.record_walk(4)
-        sampler.record_walk(2)
-        sampler.record_query(6, 0.5)
-        snap = obs.registry().snapshot()
-        assert snap.counters["arrival.walks"] == 2
-        assert snap.counters["arrival.jumps"] == 6
-        assert snap.histograms["arrival.jumps_per_walk"].count == 2
-        assert snap.histograms["arrival.jumps_per_s"].count == 1
+        work()
+        work()
+        spans = obs.current_tracer().finished_spans()
+        assert [span.name for span in spans] == ["unit.work", "unit.work"]
+        assert all(span.duration_s >= 0 for span in spans)
 
 
 # ---------------------------------------------------------------------------
-# ExecStats bridge + schema conformance
+# ExecStats schema conformance
 # ---------------------------------------------------------------------------
 class TestExecStatsBridge:
-    def test_publish_and_read_back(self):
-        registry = MetricsRegistry()
-        stats = ExecStats(
-            engine="ARRIVAL",
-            plan_s=0.25,
-            walk_s=0.5,
-            total_s=1.0,
-            jumps=42,
-            expansions=7,
-            plan_hits=1,
-        )
-        stats.publish(registry)
-        snap = registry.snapshot()
-        assert snap.counters["query.jumps"] == 42
-        assert snap.counters["engine.queries"] == 1
-        assert snap.counters["engine.queries.ARRIVAL"] == 1
-        back = ExecStats.from_snapshot(snap)
-        assert back.jumps == 42
-        assert back.expansions == 7
-        assert back.plan_hits == 1
-        assert back.walk_s == pytest.approx(0.5)
-        assert back.total_s == pytest.approx(1.0)
-
-    def test_counters_fold_exactly_over_many_publishes(self):
-        registry = MetricsRegistry()
-        total = ExecStats(engine="fold")
-        for i in range(50):
-            stats = ExecStats(engine="E", jumps=i, expansions=2 * i)
-            total.add(stats)
-            stats.publish(registry)
-        back = ExecStats.from_snapshot(registry.snapshot())
-        assert back.jumps == total.jumps
-        assert back.expansions == total.expansions
-
     def test_schema_is_frozen(self):
         """BENCH_*.json readers parse these exact names and types."""
         import dataclasses
@@ -736,45 +463,19 @@ ENGINE_BUDGETS = {
 
 
 def _run_batch(graph, workload, backend):
-    from functools import partial
-
-    obs.reset()
-    obs.enable()
     factory = partial(make_engine, "arrival", graph, seed=11)
-    executor = BatchExecutor(
+    with BatchExecutor(
         factory=factory, backend=backend, workers=2, seed=SEED
-    )
-    report = executor.run(workload)
-    snapshot = obs.registry().snapshot()
-    obs.reset()
-    return report, snapshot
+    ) as executor:
+        return executor.run(workload)
 
 
 class TestInstrumentationIntegration:
-    def test_engine_query_publishes_matching_counters(self, graph, workload):
-        obs.enable()
-        engine = make_engine("arrival", graph, seed=11)
-        totals = ExecStats(engine="fold")
-        for query in workload:
-            totals.add(engine.query(query).stats)
-        back = ExecStats.from_snapshot(obs.registry().snapshot())
-        assert back.jumps == totals.jumps
-        assert back.expansions == totals.expansions
-        assert back.candidates_scanned == totals.candidates_scanned
-        assert back.transition_hits == totals.transition_hits
-        assert back.rng_refills == totals.rng_refills
-        assert (
-            obs.registry().snapshot().counters["engine.queries"]
-            == len(workload)
-        )
-
     def test_counters_identical_across_backends(self, graph, workload):
-        reports = {}
-        snapshots = {}
-        for backend in ("serial", "thread", "process"):
-            reports[backend], snapshots[backend] = _run_batch(
-                graph, workload, backend
-            )
+        reports = {
+            backend: _run_batch(graph, workload, backend)
+            for backend in ("serial", "thread", "process")
+        }
         # answers are backend-independent at a fixed seed ...
         assert (
             reports["serial"].answers()
@@ -782,46 +483,30 @@ class TestInstrumentationIntegration:
             == reports["process"].answers()
         )
 
-        # ... and so is every merged engine-level counter, exactly.
-        # Transport-plane counters (shm plane exports/attaches, chunk
-        # dispatch) describe *how* queries were shipped, which is
-        # backend-specific by definition — everything else must match.
-        def engine_counters(snapshot):
+        # ... and so is every summed per-query counter, exactly.
+        # ship_bytes describes *how* the engine reached its workers,
+        # which is backend-specific by definition.
+        def counters(report):
             return {
-                name: value
-                for name, value in snapshot.counters.items()
-                if not name.startswith("shm.")
-                and name != "batch.chunks"
+                name: getattr(report.stats.totals, name)
+                for name in _COUNTER_FIELDS
+                if name != "ship_bytes"
             }
 
+        assert counters(reports["serial"])["jumps"] > 0
         assert (
-            engine_counters(snapshots["serial"])
-            == engine_counters(snapshots["thread"])
-            == engine_counters(snapshots["process"])
+            counters(reports["serial"])
+            == counters(reports["thread"])
+            == counters(reports["process"])
         )
 
-    def test_histograms_fold_exactly_across_process_merge(
-        self, graph, workload
-    ):
-        _, serial = _run_batch(graph, workload, "serial")
-        _, process = _run_batch(graph, workload, "process")
-        # per-query histograms (stage timings vary per run, but counts
-        # must agree: one observation per query per stage)
-        for name in ("stage.total_s", "stage.walk_s"):
-            assert (
-                serial.histograms[name].count
-                == process.histograms[name].count
-            ), name
-
     def test_plan_cache_metrics_appear(self, graph, workload):
-        obs.enable()
         engine = make_engine("arrival", graph, seed=11)
-        engine.query(workload[0])
-        engine.query(workload[0])  # same template: a plan-cache hit
-        counters = obs.registry().snapshot().counters
-        assert counters.get("plan.cache_misses", 0) >= 1
-        assert counters.get("plan.cache_hits", 0) >= 1
-        assert counters.get("plan.compiles", 0) >= 1
+        first = engine.query(workload[0])
+        second = engine.query(workload[0])  # same template: a hit
+        assert (first.stats.plan_misses, first.stats.plan_hits) == (1, 0)
+        assert (second.stats.plan_misses, second.stats.plan_hits) == (0, 1)
+        assert engine.plan_cache.compiles == 1
 
     @pytest.mark.slow
     def test_traced_answers_identical_on_every_engine(
@@ -832,7 +517,7 @@ class TestInstrumentationIntegration:
         def answers(engine_name, traced):
             obs.reset()
             if traced:
-                obs.enable(tracing=True)
+                obs.enable()
             try:
                 engine = make_engine(
                     engine_name,
@@ -857,23 +542,28 @@ class TestInstrumentationIntegration:
         for name in engine_names():
             assert answers(name, False) == answers(name, True), name
 
-    def test_oracle_sweep_counters(self, small_graph, small_workload):
+    def test_traced_oracle_sweep_matches_untraced(
+        self, small_graph, small_workload
+    ):
         from repro.verify.oracle import DifferentialOracle
 
+        def verdicts():
+            oracle = DifferentialOracle(
+                small_graph,
+                ("arrival", "bbfs"),
+                seed=SEED,
+                engine_kwargs={"bbfs": {"max_expansions": 20_000}},
+            )
+            report = oracle.run(small_workload[:5])
+            return [
+                (entry.truth, entry.answers, entry.ok, entry.false_negatives)
+                for entry in report.adjudications
+            ]
+
+        untraced = verdicts()
         obs.enable()
-        oracle = DifferentialOracle(
-            small_graph,
-            ("arrival", "bbfs"),
-            seed=SEED,
-            engine_kwargs={"bbfs": {"max_expansions": 20_000}},
-        )
-        report = oracle.run(small_workload[:5])
-        counters = obs.registry().snapshot().counters
-        assert counters["oracle.queries"] == 5
-        divergences = sum(
-            len(entry.divergences) for entry in report.adjudications
-        )
-        assert counters.get("oracle.divergences", 0) == divergences
+        assert verdicts() == untraced
+        assert {"oracle.run", "oracle.adjudicate"} <= set(_span_names())
 
 
 # ---------------------------------------------------------------------------
@@ -895,12 +585,11 @@ class TestDisabledOverhead:
         sweep is not dramatically faster than a disabled one.
 
         The disabled path *is* the no-op baseline — its only cost over
-        pre-observability code is one flag read per query/stage — so
+        pre-observability code is one no-op span per query/stage — so
         the regression this guards against is someone making the gate
         do real work while closed.  That work is counted, not timed:
-        with the gate closed, a 200-query sweep must never publish an
-        ``ExecStats`` record or call into a real ``MetricsRegistry`` or
-        ``Tracer``.  The timing comparison is gated on core count:
+        with the gate closed, a 200-query sweep must never call into a
+        real ``Tracer``.  The timing comparison is gated on core count:
         timing on a contended single-core box is meaningless.
         """
         queries = WorkloadGenerator(graph, seed=9).generate(200)
@@ -926,11 +615,9 @@ class TestDisabledOverhead:
 
             monkeypatch.setattr(owner, name, counted)
 
-        spy(ExecStats, "publish")
-        for owner in (MetricsRegistry, Tracer):
-            for name, member in list(vars(owner).items()):
-                if inspect.isfunction(member):
-                    spy(owner, name)
+        for name, member in list(vars(Tracer).items()):
+            if inspect.isfunction(member):
+                spy(Tracer, name)
         assert not obs.enabled()
         sweep()
         assert calls == {}, f"the closed gate did observability work: {calls}"
@@ -940,12 +627,12 @@ class TestDisabledOverhead:
             return
         # best-of-3 per variant: immune to one-off scheduler hiccups
         disabled_s = min(sweep() for _ in range(3))
-        obs.enable(tracing=True)
+        obs.enable()
         try:
             enabled_s = min(sweep() for _ in range(3))
         finally:
             obs.reset()
-        # the enabled run records spans + counters for 200 queries; it
+        # the enabled run records spans for 200 queries; it
         # cannot be dramatically *faster* than the no-op path unless
         # the disabled path is secretly paying enabled-mode costs
         assert enabled_s > 0.5 * disabled_s

@@ -29,7 +29,7 @@ from repro.datasets import twitter_like
 from repro.errors import QueryError, WitnessViolationError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.queries import RSPQuery
-from repro.regex.ast_nodes import Literal
+from repro.regex.ast_nodes import Alt, Concat, Literal
 from repro.regex.compiler import compile_regex
 from repro.verify import (
     INVARIANTS,
@@ -466,17 +466,35 @@ def test_label_renaming_invariance(data):
     assert invariance_violation(original, transformed, exact=True) is None
 
 
+def _draw_path_word(data, graph):
+    """A simple path of 1-3 edges from a node with an out-edge, as
+    ``(source, target, word)``: ``word`` spells one label per edge, so
+    any regex that admits ``word`` answers True on ``graph``.  Built
+    rather than filtered for: most random queries answer False."""
+    starts = [node for node in graph.nodes() if graph.out_neighbors(node)]
+    assume(starts)  # rare: every drawn edge was a self-loop
+    path = [data.draw(st.sampled_from(starts))]
+    symbols = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        onward = [v for v in graph.out_neighbors(path[-1]) if v not in path]
+        if not onward:
+            break
+        nxt = data.draw(st.sampled_from(sorted(onward)))
+        labels = sorted(graph.edge_labels(path[-1], nxt))
+        symbols.append(Literal(data.draw(st.sampled_from(labels))))
+        path.append(nxt)
+    word = symbols[0] if len(symbols) == 1 else Concat(symbols)
+    return path[0], path[-1], word
+
+
 @settings(max_examples=25)
 @given(data=st.data())
 def test_edge_addition_monotonicity(data):
     graph = data.draw(small_edge_labeled_graphs())
     n = graph.max_node_id
-    query = RSPQuery(
-        data.draw(st.integers(0, n - 1)),
-        data.draw(st.integers(0, n - 1)),
-        data.draw(regexes()),
-    )
-    assume(_answer(graph, query))  # only True is pinned under growth
+    source, target, word = _draw_path_word(data, graph)
+    query = RSPQuery(source, target, Alt((word, data.draw(regexes()))))
+    assert _answer(graph, query) is True  # only True is pinned under growth
     bigger = graph.copy()
     for _ in range(data.draw(st.integers(1, 4))):
         u = data.draw(st.integers(0, n - 1))
@@ -495,12 +513,10 @@ def test_edge_addition_monotonicity(data):
 @given(data=st.data())
 def test_union_subsumption(data):
     graph = data.draw(small_edge_labeled_graphs())
-    n = graph.max_node_id
-    source = data.draw(st.integers(0, n - 1))
-    target = data.draw(st.integers(0, n - 1))
-    left = data.draw(regexes())
+    source, target, word = _draw_path_word(data, graph)
+    left = Alt((word, data.draw(regexes())))
     right = data.draw(regexes())
-    assume(_answer(graph, RSPQuery(source, target, left)))
+    assert _answer(graph, RSPQuery(source, target, left)) is True
     widened = RSPQuery(source, target, union_regex(left, right))
     assert _answer(graph, widened) is True
 

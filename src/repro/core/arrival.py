@@ -71,6 +71,9 @@ from repro.rng import RngLike, ensure_rng
 #: one compiled regex's interned step tables, forward then backward
 _StepTables = Tuple[InternedStepTable, InternedStepTable]
 
+#: the per-query keyword arguments :meth:`Arrival._execute` takes
+_EXECUTE_KWARGS = frozenset({"walk_length_scale", "num_walks_scale", "trace"})
+
 
 def _table_totals(tables: Optional[_StepTables]) -> Tuple[int, int]:
     """Summed (hits, misses) of a regex's step tables (zeros without).
@@ -299,24 +302,13 @@ class Arrival(EngineBase):
         registered walker position (side, walk, node, automaton states)
         — the raw material of the paper's Fig. 3 illustration.
         """
-        if kwargs:  # absorbed only for LSP; unknown knobs stay errors
-            raise TypeError(f"unexpected engine kwargs: {sorted(kwargs)}")
         query = plan.query
+        self._check_query(query, kwargs)
         source = query.source
         target = query.target
         distance_bound = query.distance_bound
         min_distance = query.min_distance
         stats = ExecStats(engine=self.name)
-        if not self.graph.is_alive(source):
-            raise QueryError(f"source node {source} does not exist")
-        if not self.graph.is_alive(target):
-            raise QueryError(f"target node {target} does not exist")
-        if (
-            distance_bound is not None
-            and min_distance is not None
-            and min_distance > distance_bound
-        ):
-            raise QueryError("min_distance exceeds distance_bound")
         compiled = plan.compiled
 
         stage_start = time.perf_counter()
@@ -334,8 +326,6 @@ class Arrival(EngineBase):
         num_walks = max(1, round(base_walks * num_walks_scale))
         stats.params_s = time.perf_counter() - stage_start
         if distance_bound is not None:
-            if distance_bound < 0:
-                raise QueryError("distance_bound must be non-negative")
             walk_length = min(walk_length, distance_bound + 1)
 
         if source == target:
@@ -450,6 +440,33 @@ class Arrival(EngineBase):
             info=info,
             stats=stats,
         )
+
+    def _check_query(
+        self, query: RSPQuery, kwargs: Mapping[str, Any]
+    ) -> None:
+        """Raise what ARRIVAL raises before any walk.
+
+        ``TypeError`` for a keyword argument :meth:`_execute` does not
+        take; :class:`QueryError` for a missing or removed endpoint, a
+        negative ``distance_bound`` or ``min_distance`` above it.
+        :class:`~repro.core.router.AutoEngine` calls this before its
+        certification probe, so no query ARRIVAL refuses is answered.
+        """
+        unknown = sorted(set(kwargs) - _EXECUTE_KWARGS)
+        if unknown:  # absorbed only for LSP; unknown knobs stay errors
+            raise TypeError(f"unexpected engine kwargs: {unknown}")
+        if not self.graph.is_alive(query.source):
+            raise QueryError(f"source node {query.source} does not exist")
+        if not self.graph.is_alive(query.target):
+            raise QueryError(f"target node {query.target} does not exist")
+        distance_bound = query.distance_bound
+        if distance_bound is None:
+            return
+        min_distance = query.min_distance
+        if min_distance is not None and min_distance > distance_bound:
+            raise QueryError("min_distance exceeds distance_bound")
+        if distance_bound < 0:
+            raise QueryError("distance_bound must be non-negative")
 
     def _miss_probability_bound(self, num_walks: int) -> Optional[float]:
         """Proposition-1 style bound on the false-negative probability.

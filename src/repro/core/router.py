@@ -20,6 +20,16 @@ instead of inline ifs:
 * ``exact=True`` forces BBFS (for callers who need certainty and accept
   the exponential worst case).
 
+On the ARRIVAL route the router also certifies negatives exactly, with
+a :class:`~repro.baselines.product_bfs.BidirectionalProductSearch` over
+(node, NFA state) pairs: if no walk at all matches the regex, no simple
+path does either.  A probe of at most :data:`CERTIFY_PROBE_SCANS`
+neighbour scans runs before any walk; when ARRIVAL then answers an
+inexact False, the same search resumes for as many scans as the walks
+spent.  A certified answer is ``reachable=False, exact=True`` with
+``info["certified"] = True``.  The search draws no randomness, so every
+query it does not certify gets ARRIVAL's walks, paths and answers.
+
 The router and its sub-engines share one
 :class:`~repro.core.plan.PlanCache`, so a template planned through AUTO
 never recompiles when it is served by ARRIVAL, LI or BBFS.
@@ -29,10 +39,12 @@ The chosen engine is recorded in ``result.info["routed_to"]``.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.baselines.bbfs import BBFSEngine
 from repro.baselines.landmark import LandmarkIndex
+from repro.baselines.product_bfs import BidirectionalProductSearch
 from repro.core.arrival import Arrival
 from repro.core.engine import EngineBase, EngineCapabilities
 from repro.core.fastpath import GraphView, LabelSetInterner
@@ -46,6 +58,7 @@ from repro.core.plan import (
     rank_routes,
 )
 from repro.core.result import QueryResult
+from repro.core.stats import ExecStats
 from repro.errors import IndexBuildError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.queries.query import RSPQuery
@@ -53,8 +66,20 @@ from repro.regex.compiler import CompiledRegex
 from repro.rng import RngLike
 
 
+#: neighbour scans the certification probe may spend before any walk
+CERTIFY_PROBE_SCANS = 256
+
+
 class AutoEngine(EngineBase):
-    """Route each query to the most appropriate engine."""
+    """Route each query to the most appropriate engine.
+
+    On the ARRIVAL route, negatives are certified as described in the
+    module docstring.  With the default ``adaptive=False`` every query
+    the search leaves uncertified is answered exactly as
+    ``Arrival(graph, seed=...)`` answers it.  With ``adaptive=True`` a
+    query the probe certifies runs no walks, so it feeds the endpoint
+    estimator nothing and later walk budgets may differ from ARRIVAL's.
+    """
 
     name = "AUTO"
     # the router may serve a query through ARRIVAL, so its answers are
@@ -191,10 +216,54 @@ class AutoEngine(EngineBase):
             assert landmark is not None  # routing just built and checked it
             result = landmark.query(query)
         else:
-            # hand the prepared plan straight to ARRIVAL — no re-plan,
-            # the compiled automaton and walk budgets ride along
-            result = self.arrival.execute(plan, **kwargs)
+            result = self._execute_arrival(plan, kwargs)
         result.info["routed_to"] = routed
+        return result
+
+    def _execute_arrival(
+        self, plan: Plan, kwargs: Dict[str, Any]
+    ) -> QueryResult:
+        """ARRIVAL's answer, with a negative certified where the product
+        search can: a probe before the walks, resumed after an inexact
+        False for as many neighbour scans as the walks spent."""
+        arrival = self.arrival
+        query = plan.query
+        # refuse exactly what ARRIVAL refuses, before a probe could
+        # "certify" e.g. a removed node, whose adjacency is empty
+        arrival._check_query(query, kwargs)
+        if query.source == query.target:
+            return arrival.execute(plan, **kwargs)  # exact already
+        search = BidirectionalProductSearch(
+            self.graph, query.source, query.target, plan.compiled,
+            arrival.elements,
+        )
+        search_s = _timed_run(search, CERTIFY_PROBE_SCANS)
+        if search.walk_exists is False:
+            return QueryResult(
+                reachable=False,
+                method=arrival.name,
+                exact=True,
+                info={"certified": True},
+                stats=ExecStats(
+                    engine=arrival.name,
+                    walk_s=search_s,
+                    candidates_scanned=search.scanned,
+                ),
+            )
+        # hand the prepared plan straight to ARRIVAL — no re-plan,
+        # the compiled automaton and walk budgets ride along
+        result = arrival.execute(plan, **kwargs)
+        stats = result.stats
+        assert stats is not None  # EngineBase attaches stats
+        inexact_false = not (result.reachable or result.exact)
+        if inexact_false and search.walk_exists is None:
+            search_s += _timed_run(search, stats.candidates_scanned)
+            if search.walk_exists is False:
+                result.exact = True
+                result.info["certified"] = True
+                result.info.pop("miss_probability_bound", None)
+        stats.walk_s += search_s
+        stats.candidates_scanned += search.scanned
         return result
 
     def reseed(self, seed: RngLike) -> None:
@@ -227,6 +296,17 @@ class AutoEngine(EngineBase):
     ]:
         """The ARRIVAL route's exportable plane state (shm donor side)."""
         return self.arrival.shared_plane_state()
+
+
+def _timed_run(search: BidirectionalProductSearch, max_scans: int) -> float:
+    """Run one slice of the certification search; return its wall time.
+
+    The router adds it to ``stats.walk_s``: an ExecStats stage fill
+    like ARRIVAL's own, hence the sanctioned clock reads.
+    """
+    started = time.perf_counter()  # repro: noqa[TIM001]
+    search.run(max_scans)
+    return time.perf_counter() - started  # repro: noqa[TIM001]
 
 
 #: LI's capability sheet for the cost model, derived from the class

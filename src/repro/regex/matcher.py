@@ -25,7 +25,7 @@ with labels on one kind only consume that kind).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,7 +211,7 @@ class BackwardTracker:
             return self.cache.step(self._rnfa, states, labels)
         return self._rnfa.step(states, labels, attrs, self.mode, self.rng)
 
-    def start(self, node: int):
+    def start(self, node: int) -> Tuple[StateSet, StateSet]:
         """Keys/current for the walk sitting at the target node."""
         key = self._rnfa.initial_states()
         current = key
@@ -223,7 +223,9 @@ class BackwardTracker:
             )
         return key, current
 
-    def extend(self, current: StateSet, u: int, v: int):
+    def extend(
+        self, current: StateSet, u: int, v: int
+    ) -> Tuple[StateSet, StateSet]:
         """Keys/current after stepping backward across edge ``u -> v``.
 
         The walker sits at ``v`` and moves to predecessor ``u``; the edge

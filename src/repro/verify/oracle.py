@@ -2,18 +2,20 @@
 
 The adjudication rules encode exactly what Sec. 3.1.2 permits:
 
-* **Exact RSPQ engines must agree.**  Two engines with ``exact=True``
-  and simple-path semantics that both ran to completion on a supported
-  query must return the same answer — any split is a divergence.
+* **Exact RSPQ answers must agree.**  Two answers marked ``exact=True``
+  by engines with simple-path semantics, neither timed out, on a
+  supported query must be the same — any split is a divergence.  The
+  mark counts whichever engine set it: an approximate engine's exact
+  False (AUTO's certified negatives) is as binding as BBFS's.
 * **Positives must be certain.**  Every positive answer carrying a path
   is re-validated by the independent witness oracle
   (:mod:`repro.verify.witness`); a verified *simple* witness is a
   graph-level proof that the RSPQ answer is True, regardless of which
   engine produced it.
 * **Approximate engines may only err negatively.**  ARRIVAL (and the
-  router that may delegate to it) answering False on a query whose
-  truth is provably True is a *legal* false negative and is recorded
-  for recall accounting — not a divergence.
+  router that may delegate to it) answering an inexact False on a query
+  whose truth is provably True is a *legal* false negative and is
+  recorded for recall accounting — not a divergence.
 * **Arbitrary-path semantics is an upper bound.**  A simple path is in
   particular a walk, so an exact arbitrary-path engine (RL, Fan)
   answering a completed False on a provably-True query has missed a
@@ -407,13 +409,17 @@ class DifferentialOracle:
             for name, report in witnessed.items()
         )
 
-        exact_simple = {
-            name: bool(result.reachable)
+        # exactness is the answer's own claim, not the engine class's:
+        # an approximate engine may still answer exactly
+        exact = [
+            name
             for name, result in usable.items()
-            if self.capabilities[name].exact
-            and self.capabilities[name].simple_paths
-            and result.exact
-            and not result.timed_out
+            if result.exact and not result.timed_out
+        ]
+        exact_simple = {
+            name: bool(usable[name].reachable)
+            for name in exact
+            if self.capabilities[name].simple_paths
         }
         if len(set(exact_simple.values())) > 1:
             split = ", ".join(
@@ -432,12 +438,9 @@ class DifferentialOracle:
 
         exact_walk_false = [
             name
-            for name, result in usable.items()
-            if self.capabilities[name].exact
-            and not self.capabilities[name].simple_paths
-            and result.exact
-            and not result.timed_out
-            and not result.reachable
+            for name in exact
+            if not self.capabilities[name].simple_paths
+            and not usable[name].reachable
         ]
 
         if proven_true:
@@ -469,7 +472,11 @@ class DifferentialOracle:
                 )
             for name, result in usable.items():
                 caps = self.capabilities[name]
-                if not caps.exact and not result.reachable:
+                if (
+                    not caps.exact
+                    and name not in exact
+                    and not result.reachable
+                ):
                     # the paper's legal one-sided error
                     adjudication.false_negatives.append(name)
         elif truth is False:

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
+from repro.core.engine import make_engine
 from repro.core.executor import ErrorResult, TimeoutResult
 from repro.core.result import QueryResult
 from repro.errors import DivergenceError
@@ -208,6 +209,27 @@ def test_false_negative_is_legal_and_recorded():
     assert adjudication.ok  # the paper's one-sided error: not a bug
     assert adjudication.false_negatives == ["arrival"]
     assert adjudication.truth is True
+
+
+def test_exact_false_from_approximate_engine_is_not_a_legal_miss():
+    """An answer marked exact is a claim whichever engine made it: AUTO
+    certifies negatives, so an exact False from it on a query with a
+    verified witness is a divergence, not the one-sided error."""
+    graph = diamond_graph()
+    query = RSPQuery(0, 1, "a*")
+    adjudication = _adjudicate(
+        ("auto", "bbfs"),
+        {
+            "auto": QueryResult(False, exact=True),
+            "bbfs": make_engine("bbfs", graph).query(query),
+        },
+        query=query,
+    )
+    assert not adjudication.ok
+    assert [f.kind for f in adjudication.divergences] == [
+        "exact-disagreement"
+    ]
+    assert adjudication.false_negatives == []
 
 
 def test_false_positive_is_flagged():

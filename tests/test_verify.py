@@ -401,6 +401,24 @@ def test_paranoid_mode_does_not_change_answers(sweep_graph, sweep_pairs):
     assert plain.answers() == checked.answers()
 
 
+def test_paranoid_mode_does_not_change_arrival_answers(
+    sweep_graph, sweep_pairs
+):
+    """The sampling engine too: checking witnesses draws no randomness,
+    so the same seed gives the same answers and witnesses."""
+    queries = _sweep_queries("arrival", sweep_pairs)
+    factory = partial(make_engine, "arrival", sweep_graph, seed=SEED)
+    plain = BatchExecutor(factory=factory, seed=SEED).run(queries)
+    checked = BatchExecutor(
+        factory=factory, seed=SEED, check="positives"
+    ).run(queries)
+    assert plain.answers() == checked.answers()
+    assert [r.path for r in plain.results] == [
+        r.path for r in checked.results
+    ]
+    assert checked.stats.totals.oracle_checks == sum(plain.answers()) > 0
+
+
 def test_executor_rejects_unknown_check():
     with pytest.raises(ValueError):
         BatchExecutor(

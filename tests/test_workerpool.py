@@ -137,6 +137,7 @@ class TestDeterminism:
                 executor_kwargs=executor_kwargs,
             )
             reports[label] = oracle.run(queries)
+            assert reports[label].divergences == [], label
         verdicts = {
             label: [
                 (
